@@ -17,6 +17,26 @@ Pipeline events per tick (one call per cycle, newest stage first):
 Execution itself is event-driven: an op starts executing when its operands
 complete (wake-up lists), and finishes via a kernel event.  Memory
 operations go through :class:`repro.coherence.CacheHierarchy`.
+
+Sleep and wake
+--------------
+
+A tick that does no work and changes nothing returns ``"idle"`` and the
+kernel stops ticking the core (see :mod:`repro.sim.kernel`).  Everything
+that can change the core from outside its own tick is a *waking entry
+point* that sets :attr:`Core.wake_requested`: the event and memory
+callbacks (``_complete_alu``, ``_resolve_branch``,
+``_issue_load_to_memory``, ``_complete_entry``, ``_on_load_data``,
+``_issue_deferred``, ``_on_store_performed``, the visibility engine's
+``_on_complete`` and the L1-I fill's :meth:`Core.wake`), the hierarchy's
+``on_invalidation``/``on_l1_eviction``, ``squash_load`` and ``reopen``.
+The only time-driven change, the timer interrupt, is the core's
+:attr:`Core.wake_cycle`.  A tick that changes state without doing
+pipeline work (issuing a validation, exposure or deferred TLB walk,
+completing a fence, touching interrupt state, starting an L1-I fill, the
+trace running dry) sets the flag too, so that tick reports ``"waiting"``.
+While asleep the core owes the kernel the idle tick's stall counters once
+per skipped tick; :meth:`Core.credit_idle_ticks` pays them.
 """
 
 from __future__ import annotations
@@ -132,7 +152,7 @@ class Core:
             )
         self._ifetch_pending = None  # (pos, op, is_wrong_path) awaiting fill
 
-        self.replay = ReplayStream(trace_source)
+        self.replay = ReplayStream(trace_source, on_end=self.wake)
         self._fetch_queue = deque()
         self._wrong_path_branch = None
         self._wp_index = 0
@@ -153,6 +173,19 @@ class Core:
         self._unvalidated_tracker = LazyMinTracker(self._unvalidated_active)
         self._fence_tracker = LazyMinTracker(lambda e: not e.fence_done)
         self._sync_tracker = LazyMinTracker(lambda e: e.state != "retired")
+        # Loads whose TLB miss deferred them to their visibility point.
+        self._deferred_tracker = LazyMinTracker(
+            lambda e: e.lq_entry.valid and e.lq_entry.vstate == STATE_DEFERRED
+        )
+
+        #: Set by every waking entry point; cleared at the start of a tick.
+        self.wake_requested = False
+        # The stall counter the last tick's retire/dispatch stage bumped,
+        # and whether its frontend waited on an L1-I fill: what a skipped
+        # idle tick would have bumped (credit_idle_ticks).
+        self._retire_stall = None
+        self._dispatch_stall = None
+        self._fetch_stalled = False
 
         self.tracelog = tracelog
         self.env = {}
@@ -237,6 +270,9 @@ class Core:
         if self.done:
             return "done"
         now = self.kernel.cycle
+        self.wake_requested = False
+        self._retire_stall = self._dispatch_stall = None
+        self._fetch_stalled = False
         work = 0
         if self._check_interrupt(now):
             work += 1
@@ -251,11 +287,45 @@ class Core:
         self.counters.bump("core.cycles")
         if self.done:
             return "done"
-        return "active" if work else "waiting"
+        if work:
+            return "active"
+        return "waiting" if self.wake_requested else "idle"
+
+    # ------------------------------------------------------------ sleep/wake
+
+    def wake(self):
+        """Ask the kernel to tick this core again (a waking entry point)."""
+        self.wake_requested = True
+
+    @property
+    def wake_cycle(self):
+        """The cycle at which time alone changes an idle core's tick: the
+        next timer interrupt (``None`` when the timer is off)."""
+        return self.interrupts.next_at
+
+    def credit_idle_ticks(self, ticks):
+        """Account ``ticks`` idle ticks the kernel skipped.
+
+        The core has not changed since its last (idle) tick, so each
+        skipped tick would have bumped exactly what that tick bumped.
+        """
+        counters = self.counters
+        counters.bump("core.cycles", ticks)
+        if self._retire_stall is not None:
+            counters.bump(self._retire_stall, ticks)
+        if self._dispatch_stall is not None:
+            counters.bump(self._dispatch_stall, ticks)
+        if self._fetch_stalled:
+            self.ifetch.stat_stall_cycles += ticks
 
     # ------------------------------------------------------------- interrupts
 
     def _check_interrupt(self, now):
+        next_at = self.interrupts.next_at
+        if next_at is None or now < next_at:
+            return False
+        # Due or pending: the interrupt unit's state may change.
+        self.wake_requested = True
         if not self.interrupts.should_fire(now):
             return False
         if self.rob.empty:
@@ -273,6 +343,7 @@ class Core:
             if self._ifetch_pending is not None:
                 # Frontend stalled on an L1-I miss.
                 if not self.ifetch.ready(now):
+                    self._fetch_stalled = True
                     break
                 pos, op, is_wp = self._ifetch_pending
                 self._ifetch_pending = None
@@ -295,9 +366,10 @@ class Core:
                 is_wp = False
             if self.ifetch is not None and not self.ifetch.access(now, op.pc):
                 self._ifetch_pending = (pos, op, is_wp)
-                # Anchor the fill in the event queue so the kernel's
-                # fast-forward can reach the ready time.
-                self.kernel.schedule(self.ifetch.miss_latency, lambda: None)
+                self.wake_requested = True
+                # The fill's event wakes the core when the line lands, and
+                # anchors the kernel's fast-forward at the ready time.
+                self.kernel.schedule(self.ifetch.miss_latency, self.wake)
                 break
             self._enqueue_fetched(pos, op, is_wp)
             fetched += 1
@@ -328,14 +400,17 @@ class Core:
         while dispatched < self.width and self._fetch_queue:
             pos, op, is_wp = self._fetch_queue[0]
             if self.rob.full:
-                self.counters.bump("core.rob_full_stalls")
+                self._dispatch_stall = "core.rob_full_stalls"
+                self.counters.bump(self._dispatch_stall)
                 break
             kind = op.kind
             if kind in (OpKind.LOAD, OpKind.PREFETCH) and self.lq.full:
-                self.counters.bump("core.lq_full_stalls")
+                self._dispatch_stall = "core.lq_full_stalls"
+                self.counters.bump(self._dispatch_stall)
                 break
             if kind is OpKind.STORE and self.sq.full:
-                self.counters.bump("core.sq_full_stalls")
+                self._dispatch_stall = "core.sq_full_stalls"
+                self.counters.bump(self._dispatch_stall)
                 break
             self._fetch_queue.popleft()
 
@@ -492,6 +567,7 @@ class Core:
     def _complete_alu(self, entry):
         if entry.squashed:
             return
+        self.wake_requested = True
         op = entry.op
         if op.compute_fn is not None and op.dst is not None:
             self.env[op.dst] = op.compute_fn(self.env)
@@ -501,6 +577,7 @@ class Core:
     def _complete_entry(self, entry):
         if entry.squashed or entry.state == "completed":
             return
+        self.wake_requested = True
         entry.state = "completed"
         entry.complete_cycle = self.kernel.cycle
         now = self.kernel.cycle
@@ -516,6 +593,7 @@ class Core:
     def _resolve_branch(self, entry):
         if entry.squashed or entry.resolved:
             return
+        self.wake_requested = True
         entry.resolved = True
         op = entry.op
         if not entry.is_wrong_path:
@@ -567,6 +645,7 @@ class Core:
                 # Section VI-E3: the walk is deferred to the visibility point.
                 advance_vstate(lq_entry, STATE_DEFERRED)
                 lq_entry.issued = True
+                self._deferred_tracker.push(entry)
                 self.counters.bump("invisispec.tlb_deferred")
                 if self.monitor is not None:
                     self.monitor.close_usl_window(self, entry.seq, "usl_deferred")
@@ -583,6 +662,7 @@ class Core:
     def _issue_load_to_memory(self, entry, unsafe_speculative):
         if entry.squashed:
             return
+        self.wake_requested = True
         now = self.kernel.cycle
         op = entry.op
         lq_entry = entry.lq_entry
@@ -697,6 +777,7 @@ class Core:
     def _on_load_data(self, entry, lq_entry, kind, result):
         if entry.squashed or not lq_entry.valid:
             return
+        self.wake_requested = True
         now = self.kernel.cycle
         if kind in (RequestKind.SPEC_LOAD, RequestKind.SPEC_PREFETCH):
             mask = self.space.byte_mask(lq_entry.addr, lq_entry.size)
@@ -795,30 +876,31 @@ class Core:
     # -------------------------------------------------------- deferred loads
 
     def _tick_deferred_loads(self, now):
-        """IS loads whose TLB miss deferred them to the visibility point."""
-        if self.visibility is None:
+        """IS loads whose TLB miss deferred them to the visibility point:
+        the oldest one walks the TLB once it becomes visible."""
+        seq = self._deferred_tracker.min_seq()
+        if seq is None:
             return
-        for lq_entry in self.lq.entries():
-            if lq_entry.vstate != STATE_DEFERRED or not lq_entry.valid:
-                continue
-            if not self.policy.visible_now(self, lq_entry):
-                break
-            entry = lq_entry.rob
-            advance_vstate(lq_entry, STATE_NORMAL)
-            vpn = self.space.page_of(lq_entry.addr)
-            self.tlb.fill(vpn)
-            self.counters.bump("invisispec.tlb_walks_at_visibility")
-            self.kernel.schedule(
-                self.params.tlb.walk_latency,
-                lambda e=entry, lq=lq_entry: self._issue_deferred(e, lq),
-            )
-            break
+        entry = self._live_by_seq[seq]
+        lq_entry = entry.lq_entry
+        if not self.policy.visible_now(self, lq_entry):
+            return
+        self.wake_requested = True
+        advance_vstate(lq_entry, STATE_NORMAL)
+        vpn = self.space.page_of(lq_entry.addr)
+        self.tlb.fill(vpn)
+        self.counters.bump("invisispec.tlb_walks_at_visibility")
+        self.kernel.schedule(
+            self.params.tlb.walk_latency,
+            lambda: self._issue_deferred(entry, lq_entry),
+        )
 
     def _issue_deferred(self, entry, lq_entry):
         if entry.squashed or not lq_entry.valid:
             return
         if lq_entry.forwarded or lq_entry.performed:
             return
+        self.wake_requested = True
         self._submit_load(entry, lq_entry, RequestKind.LOAD)
 
     # ---------------------------------------------------------------- stores
@@ -892,21 +974,26 @@ class Core:
                 # plain fences/acquires were completed by _tick_fences (or
                 # complete trivially here at the head).
                 if kind is OpKind.RELEASE and not self.write_buffer.empty:
-                    self.counters.bump("core.fence_drain_stall_cycles")
+                    self._retire_stall = "core.fence_drain_stall_cycles"
+                    self.counters.bump(self._retire_stall)
                     break
-                head.fence_done = True
+                if not head.fence_done:
+                    head.fence_done = True
+                    self.wake_requested = True
 
             if head.state != "completed":
                 if kind in (OpKind.LOAD, OpKind.PREFETCH) and head.lq_entry is not None:
                     lq_entry = head.lq_entry
                     if lq_entry.performed and lq_entry.vstate == STATE_VALIDATION:
-                        self.counters.bump("invisispec.validation_stall_cycles")
+                        self._retire_stall = "invisispec.validation_stall_cycles"
+                        self.counters.bump(self._retire_stall)
                 break
 
             if kind in (OpKind.LOAD, OpKind.PREFETCH):
                 lq_entry = head.lq_entry
                 if lq_entry.vstate == STATE_VALIDATION and not lq_entry.visibility_done:
-                    self.counters.bump("invisispec.validation_stall_cycles")
+                    self._retire_stall = "invisispec.validation_stall_cycles"
+                    self.counters.bump(self._retire_stall)
                     break
                 if lq_entry.vstate == STATE_EXPOSURE and not lq_entry.visibility_issued:
                     break  # exposure must at least be on the wire
@@ -924,7 +1011,8 @@ class Core:
                     self.sb.invalidate(lq_entry.index)
             elif kind is OpKind.STORE:
                 if self.write_buffer.full:
-                    self.counters.bump("core.wb_full_stalls")
+                    self._retire_stall = "core.wb_full_stalls"
+                    self.counters.bump(self._retire_stall)
                     break
                 sq_entry = head.sq_entry
                 retired_sq = self.sq.retire_head()
@@ -1006,6 +1094,7 @@ class Core:
             if fence_entry.stream_pos is not None:
                 return
         fence_entry.fence_done = True
+        self.wake_requested = True
         self._release_fence_blocked(now)
 
     def _maybe_finish(self):
@@ -1027,6 +1116,7 @@ class Core:
     def reopen(self):
         """Resume a finished core after its trace source was extended
         (multi-phase attack experiments)."""
+        self.wake_requested = True
         self.done = False
         self.finish_cycle = None
         self.replay.reopen()
@@ -1050,6 +1140,7 @@ class Core:
         return len(candidates)
 
     def _on_store_performed(self, wb_entry):
+        self.wake_requested = True
         self.write_buffer.retire_entry(wb_entry)
         self.counters.bump("core.stores_performed")
 
@@ -1062,6 +1153,7 @@ class Core:
             return
         if entry.is_wrong_path:
             return  # will die with its branch anyway
+        self.wake_requested = True
         self._squash_after(entry.seq - 1, entry.stream_pos, reason)
 
     def _squash_all(self, reason):
@@ -1133,12 +1225,14 @@ class Core:
 
     def on_invalidation(self, line_addr, reason):
         """An invalidation for ``line_addr`` arrived at this L1."""
+        self.wake_requested = True
         self.counters.bump("core.invalidations_received")
         if self.visibility is not None:
             self.visibility.on_invalidation(line_addr)
         self._conventional_consistency_check(line_addr, eviction=False)
 
     def on_l1_eviction(self, line_addr):
+        self.wake_requested = True
         self.counters.bump("core.l1_evictions_seen")
         if self.policy.uses_invisispec:
             # InvisiSpec does not squash on evictions: E-marked loads are

@@ -101,8 +101,10 @@ class ReplayStream:
     byte-identical ops (same uids, same addresses).
     """
 
-    def __init__(self, source):
+    def __init__(self, source, on_end=None):
         self.source = source
+        #: Called when the source first runs dry and the end latches.
+        self.on_end = on_end
         self._buffer = {}  # stream position -> MicroOp
         self._fetch_pos = 0
         self._retire_pos = 0  # positions < retire_pos are retired
@@ -128,6 +130,8 @@ class ReplayStream:
             op = self.source.next_op()
             if op is None:
                 self._exhausted = True
+                if self.on_end is not None:
+                    self.on_end()
                 return None
             self._buffer[pos] = op
         self._fetch_pos = pos + 1

@@ -72,6 +72,7 @@ class VisibilityEngine:
         core = self.core
         is_validation = entry.vstate == STATE_VALIDATION
         kind = RequestKind.VALIDATE if is_validation else RequestKind.EXPOSE
+        core.wake_requested = True
         entry.visibility_issued = True
         entry.validation_inflight = is_validation
         entry.visibility_issue_cycle = core.kernel.cycle
@@ -111,6 +112,7 @@ class VisibilityEngine:
             # line still landed in the caches, which is harmless under both
             # attack models (Section VI-A2).
             return
+        core.wake_requested = True
         if is_validation:
             if entry.visibility_issue_cycle is not None:
                 self.validation_latency.record(

@@ -42,16 +42,29 @@ class CacheArray:
         self.ways = params.ways
         self.line_bytes = params.line_bytes
         self._line_shift = params.line_bytes.bit_length() - 1
+        self._seed = seed
         self._sets = [dict() for _ in range(self.num_sets)]  # line_addr -> entry
-        self._free_ways = [list(range(self.ways)) for _ in range(self.num_sets)]
-        self._repl = [
-            make_replacement_policy(params.replacement, self.ways, seed=seed + i)
-            for i in range(self.num_sets)
-        ]
+        # Free ways and replacement state of each set, made on the set's
+        # first use (_open_set): most sets of a large L2 are never touched,
+        # and a simulator build should not pay for them.
+        self._free_ways = [None] * self.num_sets
+        self._repl = [None] * self.num_sets
+        self._open_set(0)  # a bad replacement configuration fails here
         self._count = 0  # resident lines, maintained by insert/invalidate
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_evictions = 0
+
+    def _open_set(self, idx):
+        """The replacement policy of set ``idx``, creating its state on
+        first use exactly as an eagerly built set would start."""
+        repl = self._repl[idx]
+        if repl is None:
+            self._free_ways[idx] = list(range(self.ways))
+            repl = self._repl[idx] = make_replacement_policy(
+                self.params.replacement, self.ways, seed=self._seed + idx
+            )
+        return repl
 
     def set_index(self, line_addr):
         return (line_addr >> self._line_shift) % self.num_sets
@@ -82,11 +95,12 @@ class CacheArray:
         if line_addr in cset:
             raise SimulationError(f"line 0x{line_addr:x} already resident")
         victim = None
+        repl = self._open_set(idx)
         free = self._free_ways[idx]
         if free:
             way = free.pop()
         else:
-            way = self._repl[idx].victim()
+            way = repl.victim()
             victim = self._victim_entry(idx, way)
             del cset[victim.line_addr]
             self.stat_evictions += 1
@@ -94,7 +108,7 @@ class CacheArray:
         cset[line_addr] = entry
         if victim is None:
             self._count += 1
-        self._repl[idx].touch(way)
+        repl.touch(way)
         return entry, victim
 
     def _victim_entry(self, idx, way):
@@ -145,4 +159,4 @@ class CacheArray:
             (addr, entry.state.name, entry.way)
             for addr, entry in self._sets[idx].items()
         ))
-        return entries, self._repl[idx].state_digest()
+        return entries, self._open_set(idx).state_digest()

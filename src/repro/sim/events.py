@@ -28,6 +28,8 @@ class Event:
         self.cancelled = True
 
     def __lt__(self, other):
+        # Orders handles like the queue does.  The queue itself heaps
+        # (cycle, seq, event) tuples and never calls this.
         return (self.cycle, self.seq) < (other.cycle, other.seq)
 
     def __repr__(self):
@@ -36,7 +38,13 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` keyed by (cycle, insertion order)."""
+    """Min-heap of ``(cycle, seq, event)`` keyed by (cycle, insertion order).
+
+    The heap holds tuples whose first two fields are unique ints, so
+    ``heapq`` orders them with C-level int comparisons and never calls
+    :meth:`Event.__lt__`.  Cancelled events stay in the heap until they
+    reach its head (lazy deletion).
+    """
 
     def __init__(self):
         self._heap = []
@@ -47,9 +55,10 @@ class EventQueue:
 
     def schedule(self, cycle, callback) -> Event:
         """Schedule ``callback()`` to run at ``cycle``; returns the Event."""
-        event = Event(cycle, self._next_seq, callback)
-        self._next_seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(cycle, seq, callback)
+        heapq.heappush(self._heap, (cycle, seq, event))
         return event
 
     def next_cycle(self):
@@ -57,25 +66,26 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].cycle
+        return self._heap[0][0]
 
     def _drop_cancelled(self):
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
 
     def run_until(self, cycle):
         """Fire every pending event with ``event.cycle <= cycle``, in order."""
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
+            head_cycle, _, event = heap[0]
+            if event.cancelled:
+                pop(heap)
                 continue
-            if head.cycle > cycle:
+            if head_cycle > cycle:
                 break
-            heapq.heappop(heap)
-            head.callback()
+            pop(heap)
+            event.callback()
 
     def run_at(self, cycle):
         """Fire every pending event scheduled exactly at ``cycle``.
@@ -84,8 +94,8 @@ class EventQueue:
         which would mean the kernel skipped time.
         """
         self._drop_cancelled()
-        if self._heap and self._heap[0].cycle < cycle:
+        if self._heap and self._heap[0][0] < cycle:
             raise SimulationError(
-                f"event at cycle {self._heap[0].cycle} missed (now {cycle})"
+                f"event at cycle {self._heap[0][0]} missed (now {cycle})"
             )
         self.run_until(cycle)

@@ -7,6 +7,33 @@ idle-but-waiting, the kernel fast-forwards the clock to the next pending
 event instead of spinning, which is what makes a pure-Python cycle-level
 model usable.
 
+Sleeping components
+-------------------
+
+A tick may also report ``"idle"``: the component is waiting *and* the
+tick changed nothing, so ticking it again would repeat the same no-op.
+Fast-forward and deadlock detection treat ``"idle"`` exactly like
+``"waiting"``, but the kernel stops calling the component's ``tick`` until
+
+* its ``wake_requested`` flag is set, or
+* the clock reaches the ``wake_cycle`` it reported when it went idle
+  (``None`` for never).
+
+The rule that keeps this exact: anything that changes a component from
+outside its own tick (an event callback, a memory response, a coherence
+message, another component) must go through one of the component's waking
+entry points, which set ``wake_requested``.  A component that never
+returns ``"idle"`` is ticked on every cycle the kernel visits, as before.
+
+The skipped ticks still happened in simulated time.  The kernel counts
+them per sleeper and hands the count to ``credit_idle_ticks(n)``, which
+must apply ``n`` times the side effects the idle tick itself had (its stall
+counters).  That happens when the component wakes, whenever someone calls
+:meth:`SimKernel.settle` (before reading counters mid-run), and before
+:meth:`SimKernel.run` returns or raises, so every counter and cycle count
+is the same as if every tick had run.  Each :meth:`SimKernel.run` starts
+with every component awake.
+
 Reliability hooks
 -----------------
 
@@ -32,6 +59,8 @@ from __future__ import annotations
 
 from ..errors import DeadlockError, SimTimeoutError
 from .events import EventQueue
+
+_NEVER = float("inf")
 
 
 class SimKernel:
@@ -60,6 +89,8 @@ class SimKernel:
         # timestamp from the tick phase) clamps to the next cycle instead of
         # planting an unfireable past event in the queue.
         self._fired_through = -1
+        # Sleeping components: index -> [wake cycle, skipped ticks].
+        self._sleeping = {}
 
     def register(self, component):
         """Register an object with ``tick() -> str`` called every cycle.
@@ -68,6 +99,8 @@ class SimKernel:
 
         * ``"active"``  — did work this cycle; keep ticking.
         * ``"waiting"`` — blocked on a pending event; may be fast-forwarded.
+        * ``"idle"``    — waiting, and the tick changed nothing; skipped
+          until woken (see the module docstring for the protocol).
         * ``"done"``    — finished; no longer needs ticking.
         """
         self._components.append(component)
@@ -92,6 +125,23 @@ class SimKernel:
         """Run ``callback()`` at an absolute cycle >= now."""
         return self._schedule_event(max(cycle, self.cycle), callback)
 
+    def settle(self):
+        """Credit every sleeping component with the ticks skipped so far.
+
+        Call before reading counters in the middle of a run; the
+        components stay asleep.
+        """
+        components = self._components
+        for index, sleeper in self._sleeping.items():
+            if sleeper[1]:
+                components[index].credit_idle_ticks(sleeper[1])
+                sleeper[1] = 0
+
+    @staticmethod
+    def _skip_tick(component, sleeper):
+        """Skip one tick of a sleeping component: count it for credit."""
+        sleeper[1] += 1
+
     def run(self, max_cycles=None):
         """Run until every component reports ``done``.
 
@@ -99,12 +149,22 @@ class SimKernel:
         component can make progress and no event is pending, or
         :class:`SimTimeoutError` if ``max_cycles`` elapses first.
         """
+        self._sleeping = {}
+        try:
+            return self._run(max_cycles)
+        finally:
+            self.settle()
+            self._sleeping = {}
+
+    def _run(self, max_cycles):
         stall_cycles = 0
         next_watchdog = (
             self.cycle + self.WATCHDOG_PERIOD
             if self.watchdog is not None or self.heartbeat is not None
             else None
         )
+        components = self._components
+        sleeping = self._sleeping
         while True:
             if next_watchdog is not None and self.cycle >= next_watchdog:
                 # Heartbeat first: a tripping watchdog must not suppress
@@ -122,12 +182,31 @@ class SimKernel:
 
             any_active = False
             all_done = True
-            for component in self._components:
+            for index, component in enumerate(components):
+                if sleeping:
+                    sleeper = sleeping.get(index)
+                    if sleeper is not None:
+                        if (
+                            not component.wake_requested
+                            and self.cycle < sleeper[0]
+                        ):
+                            self._skip_tick(component, sleeper)
+                            all_done = False
+                            continue
+                        del sleeping[index]
+                        if sleeper[1]:
+                            component.credit_idle_ticks(sleeper[1])
                 state = component.tick()
                 if state == "active":
                     any_active = True
                     all_done = False
                 elif state == "waiting":
+                    all_done = False
+                elif state == "idle":
+                    wake_cycle = component.wake_cycle
+                    sleeping[index] = [
+                        _NEVER if wake_cycle is None else wake_cycle, 0
+                    ]
                     all_done = False
 
             if all_done:

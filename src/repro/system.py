@@ -176,6 +176,8 @@ class System:
         """Snapshot counters once every core finished its warmup prefix."""
         self._warmup_pending -= 1
         if self._warmup_pending == 0:
+            # Sleeping cores owe the ticks the kernel skipped.
+            self.kernel.settle()
             self._warmup_snapshot = {
                 "cycle": self.kernel.cycle,
                 "counters": dict(self.counters.as_dict()),

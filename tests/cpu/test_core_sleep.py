@@ -1,0 +1,103 @@
+"""Sleep/wake soundness: a core the kernel skips would really have idled.
+
+After an idle tick the kernel stops ticking a core until a waking entry
+point sets its ``wake_requested`` flag or its timer interrupt is due.
+Here the kernel is patched to tick every core it would have skipped (a
+*shadow tick*).  Each shadow tick must report ``"idle"`` again and bump
+exactly what the idle tick bumped, which is what the kernel credits for a
+skipped tick.  An entry point that changes the core without waking it
+shows up as a shadow tick that does work, changes state or bumps
+something else.  The shadowed run must also end bit-identical to the
+normal one.
+"""
+
+import pytest
+
+from repro.configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
+from repro.security import (
+    VARIANTS,
+    run_cross_core_attack,
+    run_exception_attack,
+    run_spectre_v1,
+    run_ssb_attack,
+)
+from repro.sim.kernel import SimKernel
+
+from ..golden.matrix import Cell, cell_id, run_cell
+
+_TSO, _RC = ConsistencyModel.TSO, ConsistencyModel.RC
+_TIMER_AND_L1I = (("interrupt_interval", 300), ("model_l1i", True))
+
+CELLS = tuple(
+    Cell("parsec", "canneal", scheme, _TSO, 2, _TIMER_AND_L1I)
+    for scheme in ALL_SCHEMES
+) + (
+    Cell("parsec", "fluidanimate", Scheme.IS_SPECTRE, _RC, 2,
+         (("interrupt_interval", 200),)),
+    Cell("parsec", "fluidanimate", Scheme.IS_FUTURE, _RC, 4,
+         (("model_l1i", True),)),
+)
+
+
+def _idle_bumps(core):
+    """What the core's last (idle) tick bumped: counter deltas, L1-I stall."""
+    counters = {"core.cycles": 1}
+    for name in (core._retire_stall, core._dispatch_stall):
+        if name is not None:
+            counters[name] = 1
+    return counters, int(core._fetch_stalled)
+
+
+def _shadow_tick(shadowed):
+    def skip_tick(core, sleeper):
+        expected = _idle_bumps(core)
+        before = dict(core.counters.as_dict())
+        fetch_before = core.ifetch.stat_stall_cycles if core.ifetch else 0
+        state = core.tick()
+        where = f"{core.name} at cycle {core.kernel.cycle}"
+        assert state == "idle", f"{where}: skipped tick would be {state!r}"
+        after = core.counters.as_dict()
+        bumped = {
+            name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value != before.get(name, 0)
+        }
+        fetch_after = core.ifetch.stat_stall_cycles if core.ifetch else 0
+        assert (bumped, fetch_after - fetch_before) == expected, where
+        shadowed.append(core.core_id)
+
+    return staticmethod(skip_tick)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=cell_id)
+def test_every_skipped_tick_would_have_been_idle(cell, monkeypatch):
+    normal = run_cell(cell)
+    shadowed = []
+    monkeypatch.setattr(SimKernel, "_skip_tick", _shadow_tick(shadowed))
+    assert run_cell(cell) == normal
+    # The cell really exercises sleeping cores.
+    assert len(set(shadowed)) == cell.cores
+
+
+# Attack programs are finite, multi-phase program traces: their cores run
+# dry, get reopened between phases and wait on single probe loads.
+ATTACKS = {
+    "spectre_v1": run_spectre_v1,
+    "ssb": run_ssb_attack,
+    "cross_core": run_cross_core_attack,
+    **{
+        f"exception_{variant}": (
+            lambda config, variant=variant: run_exception_attack(config, variant)
+        )
+        for variant in VARIANTS
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+def test_attack_programs_shadow_ticks_are_idle(attack, scheme, monkeypatch):
+    config = ProcessorConfig(scheme=scheme)
+    normal = ATTACKS[attack](config)
+    monkeypatch.setattr(SimKernel, "_skip_tick", _shadow_tick([]))
+    assert ATTACKS[attack](config) == normal

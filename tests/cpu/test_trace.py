@@ -67,6 +67,15 @@ class TestReplayStream:
         assert stream.fetch() is None
         assert stream.exhausted
 
+    def test_on_end_runs_once_when_the_end_latches(self):
+        ended = []
+        stream = ReplayStream(ProgramTrace(ops(1)), on_end=lambda: ended.append(1))
+        stream.fetch()
+        assert ended == []
+        assert stream.fetch() is None
+        assert stream.fetch() is None
+        assert ended == [1]
+
     def test_exhausted_false_when_replay_pending(self):
         stream = ReplayStream(ProgramTrace(ops(2)))
         stream.fetch()

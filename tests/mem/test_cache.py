@@ -6,6 +6,7 @@ import pytest
 from repro.coherence.mesi import MESIState
 from repro.errors import SimulationError
 from repro.mem.cache import CacheArray
+from repro.mem.replacement import RandomPolicy
 from repro.params import CacheParams
 
 
@@ -115,3 +116,21 @@ class TestCacheArray:
         cache.insert(0x40, MESIState.SHARED)
         assert cache.contains(0x40)
         assert not cache.contains(0x80)
+
+    def test_sets_built_on_first_use_start_like_eager_sets(self):
+        # A set's replacement state is created when the set is first used;
+        # it must start exactly where an eagerly built set would: the
+        # random policy seeded with seed + set index, the LRU order fresh.
+        params = CacheParams(
+            size_bytes=64 * 4 * 8, line_bytes=64, ways=4, replacement="random"
+        )
+        cache = CacheArray(params, MESIState.INVALID, seed=11)
+        evicted_ways = []
+        for tag in range(12):
+            _, victim = cache.insert(addr_for_set(cache, 5, tag), MESIState.SHARED)
+            if victim is not None:
+                evicted_ways.append(victim.way)
+        eager = RandomPolicy(4, seed=11 + 5)
+        assert evicted_ways == [eager.victim() for _ in range(8)]
+        lru = small_cache(ways=4)
+        assert lru.set_digest(addr_for_set(lru, 3, 0)) == ((), (0, 1, 2, 3))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 class TestEventQueue:
@@ -81,3 +81,27 @@ class TestEventQueue:
         queue.schedule(1, lambda: None)
         queue.schedule(2, lambda: None)
         assert len(queue) == 2
+
+    def test_same_cycle_fifo_across_interleaved_cycles_without_event_compare(
+        self, monkeypatch
+    ):
+        # The heap orders (cycle, seq) tuples; Event.__lt__ is never needed.
+        def refuse(self, other):
+            raise AssertionError("heap compared Event objects")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        queue = EventQueue()
+        fired = []
+        for tag in range(12):
+            cycle = (5, 3, 5, 3)[tag % 4]
+            event = queue.schedule(
+                cycle, lambda c=cycle, t=tag: fired.append((c, t))
+            )
+            if tag == 6:
+                event.cancel()
+        queue.run_until(3)
+        queue.run_at(5)
+        assert fired == [
+            (3, 1), (3, 3), (3, 5), (3, 7), (3, 9), (3, 11),
+            (5, 0), (5, 2), (5, 4), (5, 8), (5, 10),
+        ]

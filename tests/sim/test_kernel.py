@@ -234,3 +234,132 @@ class TestEdgeCases:
         kernel.schedule(-100, lambda: fired.append(kernel.cycle))
         kernel.run()
         assert fired == [0]
+
+
+class Sleeper:
+    """Goes idle after ``work`` active ticks; woken by its event."""
+
+    def __init__(self, kernel, work=2, wake_at=None, wake_cycle=None):
+        self.kernel = kernel
+        self.work = work
+        self.wake_cycle = wake_cycle
+        self.wake_requested = False
+        self.ticks = []
+        self.credited = 0
+        self.finished = False
+        self.done_at = None
+        if wake_at is not None:
+            kernel.schedule_at(wake_at, self.wake)
+
+    def wake(self):
+        self.wake_requested = True
+        self.finished = True
+
+    def credit_idle_ticks(self, ticks):
+        self.credited += ticks
+
+    def tick(self):
+        self.wake_requested = False
+        if self.finished:
+            if self.done_at is None:
+                self.done_at = self.kernel.cycle
+            return "done"
+        self.ticks.append(self.kernel.cycle)
+        if self.work:
+            self.work -= 1
+            return "active"
+        return "idle"
+
+
+class TestSleepingComponents:
+    def test_idle_component_is_skipped_until_woken_and_credited(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=2, wake_at=50)
+        kernel.register(CountdownComponent(10))
+        kernel.register(sleeper)
+        assert kernel.run() == 50
+        # Ticked while active, once idle (cycle 2), then not until woken.
+        assert sleeper.ticks == [0, 1, 2]
+        # Cycles 3..10 were visited (the countdown ticked) and skipped; the
+        # fast-forward from 10 to 50 visits no cycle in between.
+        assert sleeper.credited == 8
+
+    def test_idle_counts_as_waiting_for_fast_forward(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0, wake_at=1000)
+        kernel.register(sleeper)
+        assert kernel.run() == 1000
+        assert sleeper.ticks == [0]
+        assert sleeper.credited == 0
+
+    def test_idle_counts_as_waiting_for_deadlock(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0)
+        kernel.register(sleeper)
+        with pytest.raises(DeadlockError) as excinfo:
+            kernel.run()
+        assert excinfo.value.cycle == SimKernel.DEADLOCK_GRACE
+        # Skipped ticks are credited before run() raises.
+        assert sleeper.ticks == [0]
+        assert sleeper.credited == SimKernel.DEADLOCK_GRACE
+
+    def test_wake_cycle_resumes_ticking(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0, wake_at=40, wake_cycle=6)
+        kernel.register(CountdownComponent(20))
+        kernel.register(sleeper)
+        kernel.run()
+        assert sleeper.ticks[:3] == [0, 6, 7]
+
+    def test_wake_during_another_components_tick_same_cycle(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0, wake_at=None)
+
+        class Waker:
+            def __init__(self):
+                self.n = 0
+
+            def tick(self):
+                self.n += 1
+                if self.n == 5:
+                    sleeper.wake()
+                return "active" if self.n < 8 else "done"
+
+        kernel.register(Waker())
+        kernel.register(sleeper)
+        kernel.run()
+        # Woken at cycle 4 by the first component: ticked the same cycle.
+        assert sleeper.ticks == [0]
+        assert sleeper.credited == 3
+        assert sleeper.done_at == 4
+
+    def test_settle_credits_without_waking(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0, wake_at=30)
+        settled = []
+
+        def probe():
+            kernel.settle()
+            settled.append(sleeper.credited)
+
+        kernel.register(CountdownComponent(10))
+        kernel.register(sleeper)
+        kernel.schedule_at(8, probe)
+        kernel.run()
+        # Cycles 1..7 were skipped before the probe fired at cycle 8.
+        assert settled == [7]
+        assert sleeper.ticks == [0]
+        assert sleeper.credited == 10
+
+    def test_each_run_starts_with_every_component_awake(self):
+        kernel = SimKernel()
+        sleeper = Sleeper(kernel, work=0)
+        kernel.register(sleeper)
+        with pytest.raises(DeadlockError):
+            kernel.run()
+        sleeper.work = 1
+        kernel.schedule(3, sleeper.wake)
+        kernel.run()
+        # Ticked at once although it went to sleep in the previous run.
+        grace = SimKernel.DEADLOCK_GRACE
+        assert sleeper.ticks == [0, grace, grace + 1]
