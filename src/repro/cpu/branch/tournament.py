@@ -14,12 +14,6 @@ is repaired on a squash using the checkpoint taken at prediction time.
 from __future__ import annotations
 
 
-def _saturate(counter, taken, maximum=3):
-    if taken:
-        return min(counter + 1, maximum)
-    return max(counter - 1, 0)
-
-
 class TournamentPredictor:
     """Local + global + chooser, gem5-style."""
 
@@ -46,16 +40,13 @@ class TournamentPredictor:
         self.stat_lookups = 0
         self.stat_mispredicts = 0
 
-    # ------------------------------------------------------------- indexing
-
-    def _local_history_index(self, pc):
-        return (pc >> 2) % self.local_history_entries
-
-    def _local_counter_index(self, pc):
-        history = self._local_history[self._local_history_index(pc)]
-        return history % self.local_counter_entries
-
     # ------------------------------------------------------------ interface
+    #
+    # predict() and update() run once per branch in pre-training and in the
+    # pipeline, so they index and saturate the 2-bit counters inline: the
+    # local history slot is ``(pc >> 2) % local_history_entries``, its
+    # counter ``history % local_counter_entries``, and a counter moves one
+    # step toward the outcome within [0, 3].
 
     def predict(self, pc):
         """Predict direction; returns ``(taken, checkpoint)``.
@@ -64,39 +55,55 @@ class TournamentPredictor:
         restored when the branch squashes.
         """
         self.stat_lookups += 1
-        local_taken = self._local_counters[self._local_counter_index(pc)] >= 2
-        global_taken = self._global_counters[self.global_history] >= 2
-        use_global = self._choice_counters[self.global_history] >= 2
-        taken = global_taken if use_global else local_taken
-        checkpoint = (self.global_history, local_taken, global_taken)
+        history = self.global_history
+        local_taken = self._local_counters[
+            self._local_history[(pc >> 2) % self.local_history_entries]
+            % self.local_counter_entries
+        ] >= 2
+        global_taken = self._global_counters[history] >= 2
+        taken = (
+            global_taken if self._choice_counters[history] >= 2 else local_taken
+        )
         # Speculatively update global history with the prediction.
-        self.global_history = (
-            (self.global_history << 1) | int(taken)
-        ) & self.global_history_mask
-        return taken, checkpoint
+        self.global_history = ((history << 1) | taken) & self.global_history_mask
+        return taken, (history, local_taken, global_taken)
 
     def update(self, pc, taken, checkpoint, mispredicted):
         """Train on the architectural outcome at branch resolution."""
         history_at_predict, local_taken, global_taken = checkpoint
         # Chooser trains toward whichever component was right.
         if local_taken != global_taken:
-            self._choice_counters[history_at_predict] = _saturate(
-                self._choice_counters[history_at_predict], global_taken == taken
+            choice = self._choice_counters
+            counter = choice[history_at_predict]
+            if global_taken == taken:
+                choice[history_at_predict] = counter + 1 if counter < 3 else 3
+            else:
+                choice[history_at_predict] = counter - 1 if counter > 0 else 0
+        global_counters = self._global_counters
+        local_counters = self._local_counters
+        local_history = self._local_history
+        lhi = (pc >> 2) % self.local_history_entries
+        local = local_history[lhi]
+        lci = local % self.local_counter_entries
+        global_counter = global_counters[history_at_predict]
+        local_counter = local_counters[lci]
+        if taken:
+            global_counters[history_at_predict] = (
+                global_counter + 1 if global_counter < 3 else 3
             )
-        self._global_counters[history_at_predict] = _saturate(
-            self._global_counters[history_at_predict], taken
-        )
-        lci = self._local_counter_index(pc)
-        self._local_counters[lci] = _saturate(self._local_counters[lci], taken)
-        lhi = self._local_history_index(pc)
-        self._local_history[lhi] = (
-            (self._local_history[lhi] << 1) | int(taken)
-        ) & self.local_history_mask
+            local_counters[lci] = local_counter + 1 if local_counter < 3 else 3
+        else:
+            global_counters[history_at_predict] = (
+                global_counter - 1 if global_counter > 0 else 0
+            )
+            local_counters[lci] = local_counter - 1 if local_counter > 0 else 0
+        bit = int(taken)
+        local_history[lhi] = ((local << 1) | bit) & self.local_history_mask
         if mispredicted:
             self.stat_mispredicts += 1
             # Repair global history: redo the shift with the real outcome.
             self.global_history = (
-                (history_at_predict << 1) | int(taken)
+                (history_at_predict << 1) | bit
             ) & self.global_history_mask
 
     def squash_restore(self, checkpoint):

@@ -35,13 +35,16 @@ def _pretrain_predictor(core, profile, seed, core_id, ops):
     same deterministic stream, so per-PC biases are already learned when
     measurement starts — the analogue of gem5's fast-forward phase.
     """
-    trace = SyntheticTrace(profile, seed=seed, core_id=core_id)
     predictor = core.predictor
+    next_op = SyntheticTrace(profile, seed=seed, core_id=core_id).next_op
+    predict, update = predictor.predict, predictor.update
+    branch = OpKind.BRANCH
     for _ in range(ops):
-        op = trace.next_op()
-        if op.kind is OpKind.BRANCH:
-            predicted, checkpoint = predictor.predict(op.pc)
-            predictor.update(op.pc, op.taken, checkpoint, predicted != op.taken)
+        op = next_op()
+        if op.kind is branch:
+            pc, taken = op.pc, op.taken
+            predicted, checkpoint = predict(pc)
+            update(pc, taken, checkpoint, predicted != taken)
     predictor.stat_lookups = 0
     predictor.stat_mispredicts = 0
 

@@ -57,7 +57,6 @@ class WorkloadProfile:
     #: PARSEC only: fraction of accesses that touch the shared region.
     shared_fraction: float = 0.0
     shared_lines: int = 2048
-    shared_store_fraction: float = 0.3
     #: PARSEC only: ops between acquire/release critical sections (0 = none).
     sync_interval: int = 0
 
@@ -79,7 +78,6 @@ class WorkloadProfile:
             "fp_fraction",
             "icache_miss_rate",
             "shared_fraction",
-            "shared_store_fraction",
         ):
             value = getattr(self, field_name)
             if not 0 <= value <= 1:
