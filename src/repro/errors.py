@@ -84,7 +84,7 @@ class FaultInjectionError(SimulationError, TransientError):
 class WorkerCrashError(TransientError):
     """A sweep worker process died while running a cell.
 
-    Raised (always supervisor-side — the worker is gone) when a worker is
+    Raised (always pool-side — the worker is gone) when a worker is
     killed by a signal, exits non-zero, misses its heartbeat deadline, or
     exceeds the RSS ceiling.  Transient: the cell is re-dispatched with a
     bumped seed, and only a cell that kills its worker twice is quarantined

@@ -10,18 +10,21 @@ Three pieces:
 * :mod:`~repro.reliability.faults` — seeded, deterministic fault injection
   into the NoC, DRAM, coherence and kernel layers, used to exercise the
   simulator's failure detectors and this layer's recovery paths;
-* :mod:`~repro.reliability.supervisor` / :mod:`~repro.reliability.worker`
-  — the :class:`Supervisor` fans a batch of :class:`CellSpec` cells out
-  over a crash-isolated worker pool (``--jobs``): heartbeat liveness,
-  RSS ceilings, quarantine of cells that kill their workers, and a
-  graceful SIGINT/SIGTERM drain, all feeding the same journal;
-* :mod:`~repro.reliability.pool` — the :class:`LeasePool` exposes the
-  same crash-isolated workers through a per-task lease API with
-  deadline plumbing, built for long-lived callers like the analysis
-  service (:mod:`repro.service`);
+* :mod:`~repro.reliability.pool` / :mod:`~repro.reliability.worker` —
+  the :class:`LeasePool`, the one crash-isolated worker pool: per-task
+  lease futures, heartbeat liveness, RSS ceilings, deadline plumbing,
+  and workers that exit when their parent dies;
+* :mod:`~repro.reliability.supervisor` — the :class:`Supervisor` runs a
+  batch of :class:`CellSpec` cells (``--jobs``) as leases on a
+  :class:`LeasePool`, adding seed-bump retry, quarantine of cells that
+  kill their workers, and a graceful SIGINT/SIGTERM drain, all feeding
+  the same journal; the analysis service (:mod:`repro.service`) is the
+  pool's other caller;
 * :mod:`~repro.reliability.atomic_io` — the shared kill-9-hardened
   write pattern (fsync temp + atomic rename + ``.bak`` rotation) used
-  by the journal, the fuzz triage corpus, and the service result store.
+  by the journals, the fuzz triage corpus, and the service result
+  store, and the main → ``.bak`` → empty reader every journal loads
+  through.
 
 See ``docs/RELIABILITY.md`` for the journal format, resume semantics,
 retry policy, the fault-schedule language, and parallel execution.

@@ -13,9 +13,8 @@ Guarantees, assuming a POSIX filesystem:
 * a reader never observes a half-written file at ``path`` — it sees
   either the old complete content or the new complete content;
 * with ``backup=True``, a crash between the two renames leaves either
-  (old main, stale bak) or (no main, good bak); a loader that falls back
-  to ``<path>.bak`` (see :class:`~repro.reliability.journal.RunJournal`)
-  recovers from both;
+  (old main, stale bak) or (no main, good bak); :func:`read_json_with_backup`,
+  which every journal loads through, recovers from both;
 * after return, the new content is durable (file fsync'd, directory
   entry fsync'd on a best-effort basis).
 """
@@ -24,8 +23,14 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
-__all__ = ["atomic_write_text", "atomic_write_json", "fsync_directory"]
+__all__ = [
+    "atomic_write_text",
+    "atomic_write_json",
+    "fsync_directory",
+    "read_json_with_backup",
+]
 
 
 def fsync_directory(directory):
@@ -75,3 +80,36 @@ def atomic_write_json(path, payload, backup=False, indent=2):
     """
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
     atomic_write_text(path, text, backup=backup)
+
+
+def read_json_with_backup(path, label, check=None):
+    """Load JSON from ``path``, falling back to ``<path>.bak``.
+
+    Returns ``(data, origin)``.  ``origin`` is None when the main file
+    loaded (``data`` is None if no file exists at all), ``"bak"`` when
+    the backup did, and ``"empty"`` when the main file exists but
+    neither copy is usable.  ``check(data)`` raises ``ValueError`` for a
+    document of the wrong shape, which counts as unreadable.  Each
+    fallback warns, naming the file as ``label``.
+    """
+    path = os.fspath(path)
+    for candidate, origin in ((path, None), (path + ".bak", "bak")):
+        if not os.path.exists(candidate):
+            continue
+        try:
+            with open(candidate) as handle:
+                data = json.load(handle)
+            if check is not None:
+                check(data)
+        except (ValueError, OSError) as error:
+            warnings.warn(
+                f"{label} {candidate} is unreadable ({error}); falling back",
+                stacklevel=3,
+            )
+            continue
+        if origin is not None:
+            warnings.warn(
+                f"recovered {label} from backup {candidate}", stacklevel=3
+            )
+        return data, origin
+    return None, ("empty" if os.path.exists(path) else None)

@@ -301,6 +301,20 @@ class RunEngine:
             return 0
         return len(record.get("attempts", ()))
 
+    def cached_outcome(self, cell_id):
+        """The ``cached`` outcome of a cell ``--resume`` skips, or None."""
+        if not (self.resume and self.journal is not None):
+            return None
+        record = self.journal.get(cell_id)
+        if record is None or record.get("status") != "ok":
+            return None
+        metrics = record.get("metrics")
+        return CellOutcome(
+            cell_id,
+            "cached",
+            result=CellResult(metrics) if metrics else None,
+        )
+
     def run_cell(self, cell_id, fn, base_seed=0):
         """Execute one cell; ``fn(seed, max_cycles, watchdog, faults)``.
 
@@ -309,17 +323,10 @@ class RunEngine:
         degrade gracefully on.  Non-simulation errors (``KeyboardInterrupt``,
         programming bugs outside the ``ReproError`` tree) still propagate.
         """
-        if self.resume and self.journal is not None:
-            record = self.journal.get(cell_id)
-            if record is not None and record.get("status") == "ok":
-                metrics = record.get("metrics")
-                outcome = CellOutcome(
-                    cell_id,
-                    "cached",
-                    result=CellResult(metrics) if metrics else None,
-                )
-                self.outcomes.append(outcome)
-                return outcome
+        outcome = self.cached_outcome(cell_id)
+        if outcome is not None:
+            self.outcomes.append(outcome)
+            return outcome
 
         attempts = []
         outcome = None

@@ -34,11 +34,17 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
-from .atomic_io import atomic_write_text
+from .atomic_io import atomic_write_text, read_json_with_backup
 
 JOURNAL_VERSION = 1
+
+
+def _check_cells(data):
+    if not isinstance(data, dict) or not isinstance(
+        data.get("cells", {}), dict
+    ):
+        raise ValueError("no cells mapping")
 
 
 class RunJournal:
@@ -53,50 +59,16 @@ class RunJournal:
 
     def __init__(self, path, experiment=""):
         self.path = os.fspath(path)
-        self.bak_path = self.path + ".bak"
         self.experiment = experiment
         self._cells = {}
         #: Set when the main file was unreadable: "bak" if the backup was
         #: used, "empty" if both copies were lost.
-        self.recovered_from = None
-        self._load()
-
-    def _read(self, path):
-        with open(path) as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict) or not isinstance(
-            data.get("cells", {}), dict
-        ):
-            raise ValueError(f"journal {path} has no cells mapping")
-        return data
-
-    def _load(self):
-        for path, origin in ((self.path, None), (self.bak_path, "bak")):
-            if not os.path.exists(path):
-                continue
-            try:
-                data = self._read(path)
-            except (ValueError, OSError) as error:
-                warnings.warn(
-                    f"run journal {path} is unreadable ({error}); "
-                    f"falling back",
-                    stacklevel=3,
-                )
-                continue
+        data, self.recovered_from = read_json_with_backup(
+            self.path, "run journal", _check_cells
+        )
+        if data is not None:
             self.experiment = data.get("experiment", self.experiment)
             self._cells = dict(data.get("cells", {}))
-            self.recovered_from = origin
-            if origin is not None:
-                warnings.warn(
-                    f"recovered run journal from backup {path}",
-                    stacklevel=3,
-                )
-            return
-        if os.path.exists(self.path):
-            # Both copies existed but neither parsed: start empty rather
-            # than refuse to resume; completed work is lost but the sweep
-            # can re-run it.
-            self.recovered_from = "empty"
 
     def save(self):
         """Atomically rewrite the journal (write temp + fsync + rename).

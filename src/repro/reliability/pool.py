@@ -1,11 +1,10 @@
-"""Long-lived crash-isolated worker pool with a per-task *lease* API.
+"""The crash-isolated worker pool, with a per-task *lease* API.
 
-The batch :class:`~repro.reliability.supervisor.Supervisor` owns a whole
-sweep: it takes a list of cell specs, runs its own retry/quarantine
-policy, and tears the pool down when the batch ends.  A serving process
-(:mod:`repro.service`) needs the opposite shape — a pool that outlives
-any one request, where each unit of work is *leased* individually and
-the caller owns policy:
+This is the only code that owns worker processes
+(:mod:`repro.reliability.worker`).  Both callers are policy layers over
+it: the batch :class:`~repro.reliability.supervisor.Supervisor` (sweep
+retry, quarantine and journal) and the analysis service
+(:mod:`repro.service`, caching, admission and request retry).
 
 * :meth:`LeasePool.submit` takes one duck-typed cell spec (anything with
   ``.cell_id`` and ``.run(seed, max_cycles, watchdog, faults,
@@ -21,22 +20,33 @@ the caller owns policy:
   with a retryable ``SimTimeoutError``) and additionally enforced
   pool-side with a grace period — a worker wedged so hard its watchdog
   never fires is SIGKILLed, so a lease can never hang its caller;
-* supervision is the same story as the batch supervisor (shared
-  heartbeat array, ``/proc`` RSS polling, sentinel-based death
-  detection), and worker handles are **released eagerly** — pipes and
-  process handles are closed the moment a worker is reaped, never left
-  to garbage-collector timing (see ``_Worker.release``), because a
-  serving process runs for days and its fd table is a budget.
+* **supervision**: workers stamp a shared heartbeat array from the
+  kernel's heartbeat hook; a busy worker whose stamp goes stale past
+  ``heartbeat_timeout`` seconds is SIGKILLed.  ``max_rss`` is enforced
+  twice: ``RLIMIT_AS`` inside the worker (allocations fail with a
+  containable ``MemoryError``) and ``/proc/<pid>/statm`` polling here
+  (SIGKILL past the ceiling, for leaks the rlimit cannot see).  Death is
+  detected through the process sentinel;
+* **a lost lease resolves only after the pool is whole again**: one
+  place (``_reap``) writes off the lease of a dead or killed worker, and
+  it does so after the replacement worker is spawned, so a caller that
+  sees the failure also sees a full pool;
+* worker handles are **released eagerly** — pipes and process handles
+  are closed the moment a worker is reaped, never left to
+  garbage-collector timing (see ``_Worker.release``), because a serving
+  process runs for days and its fd table is a budget.
 
-Retry, backoff, caching, and quarantine deliberately live in the caller
-(:mod:`repro.service.server`): the pool hands out honest failures fast
-and keeps itself replenished; policy belongs to the layer that knows the
-request's deadline and client.
+Retry, backoff, caching, and quarantine deliberately live in the
+callers: the pool hands out honest failures fast and keeps itself
+replenished; policy belongs to the layer that knows the request's
+deadline and client.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 from collections import deque
@@ -44,14 +54,87 @@ from concurrent.futures import Future
 from multiprocessing.connection import wait as _conn_wait
 
 from ..errors import ReproError, WorkerCrashError
-from .supervisor import _Worker, _death_detail, _rss_bytes
 from .worker import AttemptRequest, worker_main
 
 __all__ = ["LeasePool", "PoolClosedError"]
 
+#: Fork where the platform has it: fork-started workers inherit the
+#: parent's imports (and test monkeypatches); spawn is the fallback.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
 
 class PoolClosedError(ReproError):
     """A lease was submitted to (or stranded in) a closed pool."""
+
+
+def _rss_bytes(pid):
+    """Resident set size of ``pid`` in bytes, or None where /proc is absent."""
+    try:
+        with open(f"/proc/{pid}/statm") as handle:
+            fields = handle.read().split()
+        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _death_detail(process):
+    code = process.exitcode
+    if code is None:
+        return "vanished"
+    if code < 0:
+        try:
+            name = signal.Signals(-code).name
+        except ValueError:
+            name = f"signal {-code}"
+        return f"killed by {name}"
+    return f"exit code {code}"
+
+
+class _Worker:
+    """Parent-side handle for one pool worker."""
+
+    __slots__ = (
+        "worker_id", "process", "task_conn", "result_conn",
+        "dispatched_at", "killed_for", "released",
+    )
+
+    def __init__(self, worker_id, process, task_conn, result_conn):
+        self.worker_id = worker_id
+        self.process = process
+        self.task_conn = task_conn
+        self.result_conn = result_conn
+        self.dispatched_at = 0.0
+        #: (kind, detail) once supervision killed this worker; ``_reap``
+        #: reports it instead of the bare signal.
+        self.killed_for = None
+        self.released = False  # pipes + process handle freed
+
+    def release(self):
+        """Free this worker's parent-side fds *now*, not at GC time.
+
+        Three fds per worker (task pipe, result pipe, process sentinel)
+        would otherwise linger on the dropped handle until the garbage
+        collector happens to run its finalizers — which a long-lived
+        serving process (:mod:`repro.service`) cannot afford: a cell
+        that quarantines 50 times must not grow the fd table.  Safe to
+        call twice; the process must already be dead/joined.
+        """
+        if self.released:
+            return
+        self.released = True
+        for conn in (self.task_conn, self.result_conn):
+            try:
+                conn.close()
+            except OSError:
+                pass
+        try:
+            self.process.close()
+        except ValueError:
+            # Still alive (close() refuses): leave the handle for the
+            # finalizer rather than leak a zombie.
+            pass
 
 
 class _Lease:
@@ -75,7 +158,6 @@ class LeasePool:
         max_rss=None,
         heartbeat_timeout=60.0,
         poll_interval=0.02,
-        start_method=None,
         deadline_grace=1.0,
     ):
         self.workers = max(1, int(workers))
@@ -83,10 +165,6 @@ class LeasePool:
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
         self.deadline_grace = deadline_grace
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
         self.stats = {
             "workers_spawned": 0,
             "workers_crashed": 0,
@@ -95,7 +173,6 @@ class LeasePool:
             "deadline_kills": 0,
             "leases_completed": 0,
         }
-        self._ctx = None
         self._heartbeats = None
         self._pool = []  # _Worker handles
         self._inflight = {}  # worker_id -> _Lease
@@ -114,8 +191,7 @@ class LeasePool:
                 return self
             self._started = True
             self._closing = False
-        self._ctx = multiprocessing.get_context(self.start_method)
-        self._heartbeats = self._ctx.Array("d", self.workers, lock=False)
+        self._heartbeats = _CONTEXT.Array("d", self.workers, lock=False)
         self._pool = [self._spawn(i) for i in range(self.workers)]
         self._thread = threading.Thread(
             target=self._supervise, name="lease-pool", daemon=True
@@ -143,14 +219,16 @@ class LeasePool:
                     if not self._inflight:
                         break
                 time.sleep(self.poll_interval)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
         with self._lock:
             stranded = list(self._queue)
             self._queue.clear()
             inflight = list(self._inflight.values())
             self._inflight.clear()
+        # Nothing is in flight now, so supervision stops on its next pass.
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
+            self._thread = None
+        with self._lock:
             pool, self._pool = self._pool, []
             self._started = False
         for lease in stranded:
@@ -210,21 +288,6 @@ class LeasePool:
             self._queue.append(_Lease(request, future, deadline))
         return future
 
-    @property
-    def backlog(self):
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def busy(self):
-        with self._lock:
-            return len(self._inflight)
-
-    @property
-    def idle(self):
-        with self._lock:
-            return max(0, len(self._pool) - len(self._inflight))
-
     def snapshot(self):
         """JSON-serializable pool state for ``/healthz``."""
         with self._lock:
@@ -251,9 +314,10 @@ class LeasePool:
     # ----------------------------------------------------------- supervision
 
     def _spawn(self, worker_id):
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        # Pipe(duplex=False) returns (receive end, send end).
+        task_recv, task_send = _CONTEXT.Pipe(duplex=False)
+        result_recv, result_send = _CONTEXT.Pipe(duplex=False)
+        process = _CONTEXT.Process(
             target=worker_main,
             args=(
                 worker_id, task_recv, result_send, self._heartbeats,
@@ -329,7 +393,6 @@ class LeasePool:
                     now = time.monotonic()
                     self._heartbeats[worker.worker_id] = now
                     worker.dispatched_at = now
-                    worker.request = lease.request
             if lease is None:
                 self._fail(
                     expired,
@@ -346,7 +409,6 @@ class LeasePool:
                 # at the front and let _reap replace the worker.
                 with self._lock:
                     self._inflight.pop(worker.worker_id, None)
-                    worker.request = None
                     lease.worker_id = None
                     self._queue.appendleft(lease)
                 return
@@ -376,11 +438,17 @@ class LeasePool:
             return  # death: _reap attributes the in-flight lease
         with self._lock:
             lease = self._inflight.pop(worker.worker_id, None)
-            worker.request = None
         if lease is not None:
             self._complete(lease, payload)
 
     def _reap(self):
+        """Replace dead workers, then write off the leases they held.
+
+        The only place a lost lease resolves: whether the worker died on
+        its own or ``_enforce`` killed it, its lease fails after the
+        replacement worker exists, so the caller never observes a pool
+        short of a worker.
+        """
         with self._lock:
             pool = list(self._pool)
         for index, worker in enumerate(pool):
@@ -389,15 +457,21 @@ class LeasePool:
             # The worker may have completed its lease and died after —
             # drain any whole payload before writing the lease off.
             self._recv(worker)
-            detail = _death_detail(worker.process)
-            kind = (
-                "signal" if (worker.process.exitcode or 0) < 0 else "exit"
+            kind, detail = worker.killed_for or (
+                "signal" if (worker.process.exitcode or 0) < 0 else "exit",
+                _death_detail(worker.process),
             )
             with self._lock:
                 lease = self._inflight.pop(worker.worker_id, None)
-                worker.request = None
             self._kill(worker)
             worker.release()
+            with self._lock:
+                if (
+                    not self._closing
+                    and index < len(self._pool)
+                    and self._pool[index] is worker
+                ):
+                    self._pool[index] = self._spawn(worker.worker_id)
             if lease is not None:
                 self.stats["workers_crashed"] += 1
                 self._fail(
@@ -407,15 +481,9 @@ class LeasePool:
                         cell_id=lease.request.spec.cell_id,
                     ),
                 )
-            with self._lock:
-                if (
-                    not self._closing
-                    and index < len(self._pool)
-                    and self._pool[index] is worker
-                ):
-                    self._pool[index] = self._spawn(worker.worker_id)
 
     def _enforce(self):
+        """Kill busy workers that are stalled, past deadline, or too big."""
         now = time.monotonic()
         with self._lock:
             busy = [
@@ -424,9 +492,8 @@ class LeasePool:
                 if not w.released and w.worker_id in self._inflight
             ]
         for worker, lease in busy:
-            if not worker.process.is_alive():
+            if worker.killed_for is not None or not worker.process.is_alive():
                 continue  # _reap handles death
-            reason = None
             last_beat = max(
                 self._heartbeats[worker.worker_id], worker.dispatched_at
             )
@@ -435,7 +502,7 @@ class LeasePool:
                 and now - last_beat > self.heartbeat_timeout
             ):
                 self.stats["heartbeat_kills"] += 1
-                reason = (
+                worker.killed_for = (
                     "heartbeat",
                     f"no heartbeat for {now - last_beat:.1f}s "
                     f"(deadline {self.heartbeat_timeout:.1f}s)",
@@ -448,7 +515,7 @@ class LeasePool:
                 # reaching this backstop means the worker is wedged
                 # beyond even its own watchdog.
                 self.stats["deadline_kills"] += 1
-                reason = (
+                worker.killed_for = (
                     "deadline",
                     f"lease deadline exceeded by "
                     f"{now - lease.deadline:.1f}s (grace "
@@ -458,22 +525,8 @@ class LeasePool:
                 rss = _rss_bytes(worker.process.pid)
                 if rss is not None and rss > self.max_rss:
                     self.stats["rss_kills"] += 1
-                    reason = (
+                    worker.killed_for = (
                         "rss", f"RSS {rss} exceeds ceiling {self.max_rss}"
                     )
-            if reason is None:
-                continue
-            kind, detail = reason
-            self.stats["workers_crashed"] += 1
-            with self._lock:
-                self._inflight.pop(worker.worker_id, None)
-                worker.request = None
-            self._kill(worker)
-            self._fail(
-                lease,
-                WorkerCrashError(
-                    kind, detail, worker_id=worker.worker_id,
-                    cell_id=lease.request.spec.cell_id,
-                ),
-            )
-            # _reap releases the handle and respawns on the next pass.
+            if worker.killed_for is not None:
+                self._kill(worker)

@@ -1,7 +1,8 @@
-"""Supervised parallel sweep execution: a crash-isolated worker pool.
+"""Supervised parallel sweep execution: retry policy over the lease pool.
 
-The :class:`Supervisor` runs a batch of experiment cells across ``jobs``
-worker processes (:mod:`repro.reliability.worker`) while the existing
+The :class:`Supervisor` runs a batch of experiment cells on a
+:class:`~repro.reliability.pool.LeasePool` of ``jobs`` crash-isolated
+worker processes while the existing
 :class:`~repro.reliability.RunEngine` keeps owning policy and persistence:
 retry seeds/budgets come from the engine's
 :class:`~repro.reliability.RetryPolicy`, outcomes land in the engine's
@@ -9,20 +10,11 @@ retry seeds/budgets come from the engine's
 process), and failures feed the same ``--max-failures`` accounting and
 gap rendering the serial path uses.
 
-Supervision, per worker:
-
-* **heartbeats** — workers stamp a shared array from the kernel's
-  heartbeat hook every ``WATCHDOG_PERIOD`` simulated cycles; a busy
-  worker whose stamp goes stale past ``heartbeat_timeout`` seconds is
-  hard-killed (SIGKILL) and its cell journaled as a failed attempt;
-* **RSS ceiling** — ``max_rss`` is enforced twice: ``RLIMIT_AS`` inside
-  the worker (allocations fail with a containable ``MemoryError``) and
-  supervisor-side ``/proc/<pid>/statm`` polling (SIGKILL past the
-  ceiling, for leaks the rlimit cannot see);
-* **death** — a worker that exits or is killed by a signal is detected
-  via its sentinel; its in-flight cell becomes a journaled
-  :class:`~repro.errors.WorkerCrashError` attempt and the pool is
-  replenished with a fresh worker.
+The pool owns the workers and their supervision (heartbeats, the RSS
+ceiling, death detection).  Whatever way a worker is lost — it exits,
+is killed by a signal, or is killed for a stale heartbeat or its RSS —
+its lease fails with :class:`~repro.errors.WorkerCrashError`, which this
+module journals as a failed attempt of the cell it was running.
 
 A crashed cell re-enters the normal seed-bump retry sequence — the
 attempt index continues from the journaled count, never restarts — but a
@@ -37,98 +29,32 @@ is flushed, and ``KeyboardInterrupt`` propagates — Ctrl-C never loses
 completed work, and ``--resume`` picks up exactly where the drain
 stopped.  A second signal aborts hard (workers SIGKILLed, journal kept).
 
-Determinism: cells are dispatched in spec order, retries derive only
-from per-cell attempt indices, and results are merged back in spec
-order, so a parallel sweep produces the same journal contents (modulo
-wall-clock timing fields), figures, and tables as ``--jobs 1``.
+Determinism: cells are dispatched in spec order, at most one lease per
+worker, retries derive only from per-cell attempt indices, and results
+are merged back in spec order, so a parallel sweep produces the same
+journal contents (modulo wall-clock timing fields), figures, and tables
+as ``--jobs 1``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import signal
 import sys
 import time
 from collections import deque
-from multiprocessing.connection import wait as _conn_wait
+from concurrent.futures import FIRST_COMPLETED, wait
 
 from ..errors import WorkerCrashError
 from .engine import CellOutcome, CellResult
-from .worker import AttemptRequest, worker_main
+from .pool import LeasePool
 
 #: Worker deaths after which a cell is quarantined instead of retried.
 QUARANTINE_CRASHES = 2
 
-
-def _rss_bytes(pid):
-    """Resident set size of ``pid`` in bytes, or None where /proc is absent."""
-    try:
-        with open(f"/proc/{pid}/statm") as handle:
-            fields = handle.read().split()
-        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _death_detail(process):
-    code = process.exitcode
-    if code is None:
-        return "vanished"
-    if code < 0:
-        try:
-            name = signal.Signals(-code).name
-        except ValueError:
-            name = f"signal {-code}"
-        return f"killed by {name}"
-    return f"exit code {code}"
-
-
-class _Worker:
-    """Parent-side handle for one pool worker."""
-
-    __slots__ = (
-        "worker_id", "process", "task_conn", "result_conn",
-        "request", "dispatched_at", "released",
-    )
-
-    def __init__(self, worker_id, process, task_conn, result_conn):
-        self.worker_id = worker_id
-        self.process = process
-        self.task_conn = task_conn
-        self.result_conn = result_conn
-        self.request = None  # in-flight AttemptRequest
-        self.dispatched_at = 0.0
-        self.released = False  # pipes + process handle freed
-
-    @property
-    def busy(self):
-        return self.request is not None
-
-    def release(self):
-        """Free this worker's parent-side fds *now*, not at GC time.
-
-        Three fds per worker (task pipe, result pipe, process sentinel)
-        would otherwise linger on the dropped handle until the garbage
-        collector happens to run its finalizers — which a long-lived
-        serving process (:mod:`repro.service`) cannot afford: a cell
-        that quarantines 50 times must not grow the fd table.  Safe to
-        call twice; the process must already be dead/joined.
-        """
-        if self.released:
-            return
-        self.released = True
-        for conn in (self.task_conn, self.result_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self.process.close()
-        except ValueError:
-            # Still alive (close() refuses): leave the handle for the
-            # finalizer rather than leak a zombie.
-            pass
+#: Pool lifecycle counters each batch adds into :attr:`Supervisor.stats`.
+_POOL_STATS = (
+    "workers_spawned", "workers_crashed", "heartbeat_kills", "rss_kills",
+)
 
 
 class _CellState:
@@ -153,19 +79,15 @@ class Supervisor:
         max_rss=None,
         heartbeat_timeout=60.0,
         poll_interval=0.05,
-        start_method=None,
         quarantine_crashes=QUARANTINE_CRASHES,
     ):
         self.jobs = max(1, int(jobs))
         self.max_rss = max_rss
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
         self.quarantine_crashes = quarantine_crashes
-        #: Lifecycle counters, exposed for tests and reporting.
+        #: Lifecycle counters, exposed for tests and reporting: the
+        #: pool's, summed over batches, plus ``cells_quarantined``.
         self.stats = {
             "workers_spawned": 0,
             "workers_crashed": 0,
@@ -176,8 +98,6 @@ class Supervisor:
         self.drain_requested = False
         self.hard_abort = False
         self.drained = False
-        self._ctx = None
-        self._heartbeats = None
         self._old_handlers = {}
 
     # --------------------------------------------------------------- signals
@@ -216,50 +136,6 @@ class Supervisor:
             signal.signal(sig, handler)
         self._old_handlers = {}
 
-    # --------------------------------------------------------------- workers
-
-    def _spawn_worker(self, worker_id):
-        # Pipe(duplex=False) returns (receive end, send end).
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                worker_id, task_recv, result_send, self._heartbeats,
-                self.max_rss,
-            ),
-            name=f"sweep-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        task_recv.close()
-        result_send.close()
-        self.stats["workers_spawned"] += 1
-        self._heartbeats[worker_id] = time.monotonic()
-        return _Worker(worker_id, process, task_send, result_recv)
-
-    def _shutdown_worker(self, worker, kill=False):
-        if worker.released:
-            return
-        try:
-            if not kill and worker.process.is_alive():
-                worker.task_conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        worker.process.join(timeout=0.2 if kill else 2.0)
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=2.0)
-        worker.release()
-
-    def _kill_worker(self, worker):
-        if worker.process.is_alive():
-            try:
-                worker.process.kill()
-            except OSError:
-                pass
-        worker.process.join(timeout=2.0)
-
     # ------------------------------------------------------------- execution
 
     def run_specs(self, engine, specs):
@@ -267,7 +143,7 @@ class Supervisor:
 
         The engine provides policy (seeds, budgets, retryability), the
         journal, resume semantics, and fault-schedule scoping; this
-        method owns dispatch, supervision, and deterministic merging.
+        method owns dispatch, crash policy, and deterministic merging.
         Raises ``KeyboardInterrupt`` after a drain (completed work is
         journaled) and propagates nothing else from cell failures.
         """
@@ -278,7 +154,7 @@ class Supervisor:
         for spec in specs:
             cell_id = spec.cell_id
             order.append(cell_id)
-            cached = self._cached_outcome(engine, cell_id)
+            cached = engine.cached_outcome(cell_id)
             if cached is not None:
                 outcomes[cell_id] = cached
                 continue
@@ -297,173 +173,69 @@ class Supervisor:
             )
         return [outcomes[cid] for cid in order]
 
-    def _cached_outcome(self, engine, cell_id):
-        if not (engine.resume and engine.journal is not None):
-            return None
-        record = engine.journal.get(cell_id)
-        if record is None or record.get("status") != "ok":
-            return None
-        metrics = record.get("metrics")
-        return CellOutcome(
-            cell_id,
-            "cached",
-            result=CellResult(metrics) if metrics else None,
-        )
-
     def _execute(self, engine, states, pending, outcomes):
         self.drain_requested = False
         self.hard_abort = False
         self.drained = False
-        self._ctx = multiprocessing.get_context(self.start_method)
-        pool_size = min(self.jobs, max(1, len(states)))
-        self._heartbeats = self._ctx.Array("d", pool_size, lock=False)
-        workers = []
+        pool = LeasePool(
+            workers=min(self.jobs, len(states)),
+            max_rss=self.max_rss,
+            heartbeat_timeout=self.heartbeat_timeout,
+            poll_interval=self.poll_interval,
+        )
+        leases = {}  # Future -> (cell state, seed, max_cycles, submitted at)
         self._install_signal_handlers()
         try:
-            workers[:] = [self._spawn_worker(i) for i in range(pool_size)]
-            remaining = set(states)
-            while remaining - set(outcomes):
-                if self.hard_abort:
-                    break
-                self._dispatch(engine, workers, states, pending)
-                if self.drain_requested and not any(
-                    w.busy for w in workers
+            pool.start()
+            while not self.hard_abort:
+                while (
+                    pending
+                    and len(leases) < pool.workers
+                    and not self.drain_requested
                 ):
-                    self.drained = True
-                    break
-                self._pump_results(
-                    engine, workers, states, pending, outcomes
+                    state = states[pending.popleft()]
+                    self._submit(engine, pool, state, leases)
+                if not leases:
+                    break  # every cell finished, or the drain completed
+                done, _ = wait(
+                    leases, timeout=self.poll_interval,
+                    return_when=FIRST_COMPLETED,
                 )
-                self._reap_dead(engine, workers, states, pending, outcomes)
-                self._enforce_deadlines(
-                    engine, workers, states, pending, outcomes
-                )
+                for future in [f for f in leases if f in done]:
+                    lease = leases.pop(future)
+                    try:
+                        payload = future.result()
+                    except WorkerCrashError as error:
+                        self._crash_attempt(
+                            engine, lease, error, pending, outcomes
+                        )
+                    else:
+                        self._complete_attempt(
+                            engine, lease[0], payload, pending, outcomes
+                        )
         finally:
-            for worker in workers:
-                self._shutdown_worker(worker, kill=self.hard_abort)
+            pool.close(kill=self.hard_abort)
+            for key in _POOL_STATS:
+                self.stats[key] += pool.stats[key]
             self._restore_signal_handlers()
-            self._heartbeats = None
         if self.drain_requested:
             self.drained = True
 
-    def _dispatch(self, engine, workers, states, pending):
-        if self.drain_requested:
-            return
-        for worker in workers:
-            if not pending:
-                return
-            if worker.released or worker.busy or not worker.process.is_alive():
-                continue
-            cell_id = pending.popleft()
-            state = states[cell_id]
-            attempt_index = state.attempt_base + len(state.attempts)
-            request = AttemptRequest(
-                spec=state.spec,
-                attempt_index=attempt_index,
-                seed=engine.policy.seed_for(state.spec.seed, attempt_index),
-                max_cycles=engine.policy.budget_for(
-                    engine.max_cycles, attempt_index
-                ),
-                wall_clock_s=engine.wall_clock_s,
-                schedule=engine.schedule_for(cell_id),
-            )
-            now = time.monotonic()
-            self._heartbeats[worker.worker_id] = now
-            worker.dispatched_at = now
-            worker.request = request
-            try:
-                worker.task_conn.send(request)
-            except (BrokenPipeError, OSError):
-                # Worker died while idle; not the cell's fault — requeue
-                # at the front without consuming an attempt, and let
-                # _reap_dead replace the worker.
-                worker.request = None
-                pending.appendleft(cell_id)
-                return
-
-    def _pump_results(self, engine, workers, states, pending, outcomes):
-        live = [w for w in workers if not w.released]
-        by_conn = {w.result_conn: w for w in live}
-        sentinels = {w.process.sentinel: w for w in live}
-        try:
-            ready = _conn_wait(
-                list(by_conn) + list(sentinels), timeout=self.poll_interval
-            )
-        except OSError:
-            return
-        for item in ready:
-            worker = by_conn.get(item)
-            if worker is None:
-                continue  # sentinel: handled by _reap_dead
-            self._recv_result(engine, worker, states, pending, outcomes)
-
-    def _recv_result(self, engine, worker, states, pending, outcomes):
-        try:
-            if not worker.result_conn.poll():
-                return
-            payload = worker.result_conn.recv()
-        except (EOFError, OSError):
-            return  # death; _reap_dead attributes the in-flight cell
-        if worker.request is None or payload.cell_id not in states:
-            return  # stale message from a worker already written off
-        worker.request = None
-        state = states[payload.cell_id]
-        self._complete_attempt(engine, state, payload, pending, outcomes)
-
-    def _reap_dead(self, engine, workers, states, pending, outcomes):
-        for index, worker in enumerate(workers):
-            if worker.released or worker.process.is_alive():
-                continue
-            # The worker may have finished its cell and died afterwards
-            # (or been killed mid-send): drain any complete payload first.
-            self._recv_result(engine, worker, states, pending, outcomes)
-            if worker.busy:
-                self.stats["workers_crashed"] += 1
-                detail = _death_detail(worker.process)
-                self._crash_attempt(
-                    engine, worker, "signal" if (worker.process.exitcode or 0) < 0
-                    else "exit", detail, states, pending, outcomes,
-                )
-            self._kill_worker(worker)
-            # Release pipes and the process handle immediately — a
-            # quarantining cell churns through workers, and fds must not
-            # accumulate until process exit (regression:
-            # tests/reliability/test_pool.py::test_no_fd_growth_across_quarantines).
-            worker.release()
-            if not (self.drain_requested or self.hard_abort):
-                workers[index] = self._spawn_worker(worker.worker_id)
-
-    def _enforce_deadlines(self, engine, workers, states, pending, outcomes):
-        now = time.monotonic()
-        for worker in workers:
-            if not worker.busy or not worker.process.is_alive():
-                continue
-            last_beat = max(
-                self._heartbeats[worker.worker_id], worker.dispatched_at
-            )
-            if (
-                self.heartbeat_timeout is not None
-                and now - last_beat > self.heartbeat_timeout
-            ):
-                self.stats["heartbeat_kills"] += 1
-                self._kill_worker(worker)
-                self._crash_attempt(
-                    engine, worker, "heartbeat",
-                    f"no heartbeat for {now - last_beat:.1f}s "
-                    f"(deadline {self.heartbeat_timeout:.1f}s)",
-                    states, pending, outcomes,
-                )
-                continue
-            if self.max_rss is not None:
-                rss = _rss_bytes(worker.process.pid)
-                if rss is not None and rss > self.max_rss:
-                    self.stats["rss_kills"] += 1
-                    self._kill_worker(worker)
-                    self._crash_attempt(
-                        engine, worker, "rss",
-                        f"RSS {rss} exceeds ceiling {self.max_rss}",
-                        states, pending, outcomes,
-                    )
+    def _submit(self, engine, pool, state, leases):
+        attempt_index = state.attempt_base + len(state.attempts)
+        seed = engine.policy.seed_for(state.spec.seed, attempt_index)
+        max_cycles = engine.policy.budget_for(
+            engine.max_cycles, attempt_index
+        )
+        future = pool.submit(
+            state.spec,
+            seed=seed,
+            max_cycles=max_cycles,
+            wall_clock_s=engine.wall_clock_s,
+            attempt_index=attempt_index,
+            schedule=engine.schedule_for(state.cell_id),
+        )
+        leases[future] = (state, seed, max_cycles, time.monotonic())
 
     # ------------------------------------------------- attempt bookkeeping
 
@@ -494,146 +266,106 @@ class Supervisor:
                     "error_class", "InvariantViolation"
                 )
                 record["error_message"] = first.get("message", "")
-                state.attempts.append(record)
-                self._journal_failed_attempt(engine, state, record)
-                self._finalize_failed(
-                    engine, state, outcomes,
-                    error_class=record["error_class"],
-                    error_message=(
+                self._failed_attempt(
+                    engine, state, record, False, pending, outcomes,
+                    message=(
                         f"{len(violations)} invariant violation(s); "
                         f"first: {record['error_message']}"
                     ),
                 )
                 return
             state.attempts.append(record)
-            self._finalize_ok(engine, state, payload, record, outcomes)
+            self._finish(
+                engine, state, outcomes, "ok", [record],
+                metrics=payload.metrics,
+            )
             return
         record["error_class"] = payload.error_class
         record["error_message"] = payload.error_message
-        state.attempts.append(record)
-        self._journal_failed_attempt(engine, state, record)
         retryable = payload.error is not None and engine.policy.is_retryable(
             payload.error
         )
-        if retryable and len(state.attempts) < engine.policy.max_attempts:
-            pending.append(state.cell_id)
-            return
-        self._finalize_failed(
-            engine, state, outcomes,
-            error_class=payload.error_class,
-            error_message=payload.error_message,
+        self._failed_attempt(
+            engine, state, record, retryable, pending, outcomes
         )
 
-    def _crash_attempt(
-        self, engine, worker, kind, detail, states, pending, outcomes
-    ):
+    def _crash_attempt(self, engine, lease, error, pending, outcomes):
         """The worker died (or was killed) with a cell in flight."""
-        request = worker.request
-        worker.request = None
-        if request is None or request.spec.cell_id not in states:
-            return
-        state = states[request.spec.cell_id]
-        error = WorkerCrashError(
-            kind, detail, worker_id=worker.worker_id, cell_id=state.cell_id
-        )
+        state, seed, max_cycles, submitted_at = lease
         record = {
-            "seed": request.seed,
-            "max_cycles": request.max_cycles,
+            "seed": seed,
+            "max_cycles": max_cycles,
             "status": "failed",
             "error_class": type(error).__name__,
             "error_message": str(error),
-            "wall_ms": int(1000 * (time.monotonic() - worker.dispatched_at)),
+            "wall_ms": int(1000 * (time.monotonic() - submitted_at)),
         }
-        state.attempts.append(record)
         state.crashes += 1
-        if state.crashes >= self.quarantine_crashes:
-            self.stats["cells_quarantined"] += 1
-            self._finalize_poisoned(engine, state, record, outcomes)
+        if state.crashes < self.quarantine_crashes:
+            self._failed_attempt(
+                engine, state, record, True, pending, outcomes
+            )
             return
-        self._journal_failed_attempt(engine, state, record)
-        if len(state.attempts) < engine.policy.max_attempts:
+        self.stats["cells_quarantined"] += 1
+        state.attempts.append(record)
+        self._finish(
+            engine, state, outcomes, "poisoned", [record],
+            error_class=record["error_class"],
+            error_message=(
+                f"quarantined after {state.crashes} worker crashes; "
+                f"last: {record['error_message']}"
+            ),
+        )
+
+    def _failed_attempt(
+        self, engine, state, record, retryable, pending, outcomes,
+        message=None,
+    ):
+        """Journal a failed attempt, then retry the cell or fail it.
+
+        The attempt is journaled immediately — a crash of the
+        *supervisor* right after must not lose it (the attempt index and
+        seed sequence are reconstructed from the journal on resume).
+        """
+        state.attempts.append(record)
+        self._record(engine, state.cell_id, {
+            "status": "failed",
+            "error_class": record["error_class"],
+            "error_message": record["error_message"],
+            "attempts": [record],
+        })
+        if retryable and len(state.attempts) < engine.policy.max_attempts:
             pending.append(state.cell_id)
             return
-        self._finalize_failed(
-            engine, state, outcomes,
+        # The attempt is journaled already; this refreshes the cell-level
+        # error fields.
+        self._finish(
+            engine, state, outcomes, "failed", [],
             error_class=record["error_class"],
-            error_message=record["error_message"],
+            error_message=message or record["error_message"],
         )
 
-    def _journal_failed_attempt(self, engine, state, record):
-        """Journal a failed attempt immediately — a crash of the
-        *supervisor* right after must not lose it (the attempt index and
-        seed sequence are reconstructed from the journal on resume)."""
-        if engine.journal is None:
-            return
-        engine.journal.record(
-            state.cell_id,
-            {
-                "status": "failed",
-                "error_class": record.get("error_class"),
-                "error_message": record.get("error_message"),
-                "attempts": [record],
-            },
-        )
-
-    def _finalize_ok(self, engine, state, payload, record, outcomes):
-        result = CellResult(payload.metrics)
-        if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "ok",
-                    "attempts": [record],
-                    "cycles": result.cycles,
-                    "metrics": payload.metrics,
-                },
-            )
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id, "ok", result=result, attempts=state.attempts
-        )
-
-    def _finalize_failed(
-        self, engine, state, outcomes, error_class, error_message
+    def _finish(
+        self, engine, state, outcomes, status, attempts, metrics=None,
+        error_class=None, error_message=None,
     ):
-        # Individual failed attempts are already journaled; refresh the
-        # cell-level error fields to the final attempt's.
-        if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "failed",
-                    "error_class": error_class,
-                    "error_message": error_message,
-                    "attempts": [],
-                },
-            )
+        """Journal the cell's final status and record its outcome."""
+        entry = {"status": status, "attempts": attempts}
+        result = None
+        if metrics is not None:
+            result = CellResult(metrics)
+            entry["cycles"] = result.cycles
+            entry["metrics"] = metrics
+        else:
+            entry["error_class"] = error_class
+            entry["error_message"] = error_message
+        self._record(engine, state.cell_id, entry)
         outcomes[state.cell_id] = CellOutcome(
-            state.cell_id,
-            "failed",
-            error_class=error_class,
-            error_message=error_message,
-            attempts=state.attempts,
+            state.cell_id, status, result=result, error_class=error_class,
+            error_message=error_message, attempts=state.attempts,
         )
 
-    def _finalize_poisoned(self, engine, state, record, outcomes):
-        message = (
-            f"quarantined after {state.crashes} worker crashes; "
-            f"last: {record['error_message']}"
-        )
+    @staticmethod
+    def _record(engine, cell_id, entry):
         if engine.journal is not None:
-            engine.journal.record(
-                state.cell_id,
-                {
-                    "status": "poisoned",
-                    "error_class": record["error_class"],
-                    "error_message": message,
-                    "attempts": [record],
-                },
-            )
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id,
-            "poisoned",
-            error_class=record["error_class"],
-            error_message=message,
-            attempts=state.attempts,
-        )
+            engine.journal.record(cell_id, entry)

@@ -1,7 +1,7 @@
 """Worker-process side of the supervised parallel sweep executor.
 
 One worker is one long-lived child process of the
-:class:`~repro.reliability.supervisor.Supervisor`.  It receives
+:class:`~repro.reliability.pool.LeasePool`.  It receives
 :class:`AttemptRequest` messages (one *attempt* of one experiment cell:
 a fully resolved seed and cycle budget) over its task pipe, runs the cell
 in-process, and ships an :class:`AttemptResult` back over its result pipe.
@@ -15,7 +15,7 @@ sweep.  Liveness is reported through a shared heartbeat array stamped
 from the kernel's heartbeat hook every
 :data:`~repro.sim.kernel.SimKernel.WATCHDOG_PERIOD` simulated cycles, so
 a worker that stops making simulated progress (wedged tick loop, blocked
-syscall) stops heartbeating and is hard-killed by the supervisor.
+syscall) stops heartbeating and is hard-killed by the pool.
 
 The heartbeat hook is also where the ``worker.kill`` fault site lives:
 a triggered spec SIGKILLs the worker mid-cell, which is how the test
@@ -33,6 +33,10 @@ from dataclasses import dataclass
 from ..configs import ProcessorConfig
 from ..errors import ReproError
 from .engine import WallClockGuard, capture_metrics, cell_id_for
+
+#: Seconds an idle worker waits for a task before checking that its
+#: parent is still alive.
+PARENT_CHECK_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -205,10 +209,14 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
     """Entry point of one pool worker process.
 
     Loops over attempt requests until it receives the ``None`` shutdown
-    sentinel or its pipes close (supervisor gone).  Exits via
-    ``os._exit`` so a fork-started worker never runs the parent's atexit
-    handlers or flushes its inherited stdio buffers.
+    sentinel, its pipes close, or its parent dies.  A fork-started worker
+    holds its own copy of the task pipe's send end, so a SIGKILLed parent
+    never shows up as EOF: the idle loop polls and exits once it has been
+    reparented.  Exits via ``os._exit`` so a fork-started worker never
+    runs the parent's atexit handlers or flushes its inherited stdio
+    buffers.
     """
+    parent = os.getppid()
     # The supervisor coordinates shutdown: a terminal Ctrl-C must reach
     # the parent (which drains) and not kill in-flight cells directly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -220,7 +228,7 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
             # RLIMIT_AS bounds the address space, the closest enforceable
             # proxy for RSS: an allocation past the ceiling raises
             # MemoryError *inside* the cell, which the attempt loop
-            # contains.  The supervisor additionally polls true RSS.
+            # contains.  The pool additionally polls true RSS.
             resource.setrlimit(resource.RLIMIT_AS, (max_rss, max_rss))
         except (ImportError, ValueError, OSError):
             pass
@@ -228,6 +236,11 @@ def worker_main(worker_id, task_conn, result_conn, heartbeats, max_rss=None):
     try:
         while True:
             try:
+                if not task_conn.poll(PARENT_CHECK_S):
+                    if os.getppid() != parent:
+                        exit_code = 1
+                        break
+                    continue
                 request = task_conn.recv()
             except (EOFError, OSError):
                 exit_code = 1

@@ -50,14 +50,14 @@ into router→backend calls.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
-from ..errors import ConfigError, ReproError, ServiceProtocolError
-from ..reliability.atomic_io import atomic_write_json
+from ..errors import ConfigError, ServiceProtocolError
+from ..reliability.atomic_io import atomic_write_json, read_json_with_backup
 from .client import ServiceClient
 from .envelope import JobRequest
 from .health import BackendHealth
+from .lineserver import handle_lines, listen
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = [
@@ -174,11 +174,7 @@ class ClusterJournal:
             self._load()
 
     def _load(self):
-        try:
-            with open(self.path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return
+        data, _ = read_json_with_backup(self.path, "cluster journal")
         if not isinstance(data, dict) or data.get("version") != self.VERSION:
             return
         known = set(self.membership)
@@ -688,100 +684,19 @@ class ClusterRouter:
 # ------------------------------------------------------------------ protocol
 
 
-class _DrainRequested(Exception):
-    """Control-flow marker: a client asked the router to drain."""
-
-
 async def _handle_router_connection(router, reader, writer):
     """Same line discipline as the single-node server, routed ops."""
-    write_lock = asyncio.Lock()
-    tasks = set()
 
-    async def reply(message_id, body):
-        body = dict(body)
-        if message_id is not None:
-            body["id"] = message_id
-        data = (json.dumps(body, sort_keys=True) + "\n").encode()
-        async with write_lock:
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+    async def status(message):
+        return {"status": "ok", "healthz": await router.status()}
 
-    async def dispatch(message):
-        message_id = message.get("id")
-        op = message.get("op", "submit")
-        try:
-            if op == "ping":
-                await reply(
-                    message_id,
-                    {"status": "ok", "pong": True, "cluster": True},
-                )
-            elif op == "status":
-                await reply(
-                    message_id,
-                    {"status": "ok", "healthz": await router.status()},
-                )
-            elif op == "submit":
-                await reply(message_id, await router.submit(message))
-            else:
-                await reply(
-                    message_id,
-                    {
-                        "status": "error",
-                        "error_message": f"unknown router op {op!r}",
-                    },
-                )
-        except ReproError as error:
-            await reply(
-                message_id,
-                {
-                    "status": "error",
-                    "error_class": type(error).__name__,
-                    "error_message": str(error),
-                },
-            )
-
-    drain_requested = False
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                message = json.loads(line)
-            except ValueError:
-                await reply(None, {
-                    "status": "error", "error_message": "malformed JSON line",
-                })
-                continue
-            if not isinstance(message, dict):
-                await reply(None, {
-                    "status": "error", "error_message": "expected an object",
-                })
-                continue
-            if message.get("op") == "drain":
-                drain_requested = True
-                await reply(message.get("id"), {
-                    "status": "ok", "draining": True,
-                })
-                break
-            task = asyncio.ensure_future(dispatch(message))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-    finally:
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        try:
-            writer.close()
-        except OSError:
-            pass
-    if drain_requested:
-        raise _DrainRequested()
+    await handle_lines(reader, writer, {
+        "ping": lambda message: {
+            "status": "ok", "pong": True, "cluster": True,
+        },
+        "status": status,
+        "submit": router.submit,
+    }, unknown="unknown router op")
 
 
 async def route_serve(
@@ -798,39 +713,10 @@ async def route_serve(
     call returns after the drain completes.
     """
     await router.start()
-    stop = asyncio.get_event_loop().create_future()
-
-    def request_stop(origin):
-        if not stop.done():
-            stop.set_result(origin)
-
-    async def handler(reader, writer):
-        try:
-            await _handle_router_connection(router, reader, writer)
-        except _DrainRequested:
-            request_stop("drain-op")
-
-    server = await asyncio.start_server(handler, host=host, port=port)
-    bound = server.sockets[0].getsockname()
-    if ready_callback is not None:
-        ready_callback(bound[0], bound[1])
-
-    import signal as _signal
-
-    loop = asyncio.get_event_loop()
-    registered = []
-    for sig in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, request_stop, sig.name)
-            registered.append(sig)
-        except (NotImplementedError, ValueError):
-            pass
     try:
-        origin = await stop
+        return await listen(
+            lambda r, w: _handle_router_connection(router, r, w),
+            host, port, ready_callback,
+        )
     finally:
-        for sig in registered:
-            loop.remove_signal_handler(sig)
-        server.close()
-        await server.wait_closed()
         await router.drain(timeout=drain_timeout)
-    return origin

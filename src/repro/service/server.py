@@ -26,15 +26,15 @@ the event loop or another client.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
 from ..errors import ConfigError, ReproError, WorkerCrashError
-from ..reliability.atomic_io import atomic_write_json
+from ..reliability.atomic_io import atomic_write_json, read_json_with_backup
 from ..reliability.engine import RetryPolicy
 from ..reliability.pool import LeasePool
 from .admission import AdmissionQueue
 from .envelope import JobRequest
+from .lineserver import handle_lines, listen
 from .store import ResultStore
 
 __all__ = ["AnalysisService", "ServiceJournal", "serve"]
@@ -44,31 +44,33 @@ __all__ = ["AnalysisService", "ServiceJournal", "serve"]
 CRASH_CAP = 2
 
 
+def _check_pending(data):
+    if not isinstance(data, dict) or not isinstance(
+        data.get("pending", {}), dict
+    ):
+        raise ValueError("no pending mapping")
+
+
 class ServiceJournal:
     """Pending-request journal: what a drained server owes the future.
 
     One entry per accepted-but-incomplete request, keyed by cache key;
     removed on completion.  Written through the shared atomic pattern,
     so a SIGKILL mid-drain leaves either the old or the new complete
-    journal.  ``serve --resume`` replays pending entries as batch-lane
-    requests whose results land in the store — a returning client's
-    retry then hits the cache.
+    journal, and loading falls back to the ``.bak`` copy.  ``serve
+    --resume`` replays pending entries as batch-lane requests whose
+    results land in the store — a returning client's retry then hits
+    the cache.
     """
 
     VERSION = 1
 
     def __init__(self, path):
         self.path = path
-        self._entries = {}
-        self._load()
-
-    def _load(self):
-        try:
-            with open(self.path) as handle:
-                data = json.load(handle)
-            self._entries = dict(data.get("pending", {}))
-        except (OSError, ValueError):
-            self._entries = {}
+        data, _ = read_json_with_backup(
+            path, "service journal", _check_pending
+        )
+        self._entries = dict(data.get("pending", {})) if data else {}
 
     def _save(self):
         atomic_write_json(
@@ -496,110 +498,23 @@ async def _handle_connection(service, reader, writer):
 
     Messages: ``{"op": "submit", "id": ..., "kind": ..., "payload": ...,
     "client": ..., "lane": ..., "deadline_s": ..., "nocache": ...}``,
+    ``{"op": "put", "kind": ..., "payload": ..., "metrics": ...}``,
     ``{"op": "status"}``, ``{"op": "drain"}``, ``{"op": "ping"}``.
-    Each line is served by its own task so a long compute never blocks
-    the next line on the same connection.
     """
-    write_lock = asyncio.Lock()
-    tasks = set()
-
-    async def reply(message_id, body):
-        body = dict(body)
-        if message_id is not None:
-            body["id"] = message_id
-        data = (json.dumps(body, sort_keys=True) + "\n").encode()
-        async with write_lock:
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
-    async def dispatch(message):
-        message_id = message.get("id")
-        op = message.get("op", "submit")
-        try:
-            if op == "ping":
-                await reply(message_id, {"status": "ok", "pong": True})
-            elif op == "status":
-                await reply(
-                    message_id, {"status": "ok", "healthz": service.healthz()}
-                )
-            elif op == "drain":
-                await reply(message_id, {"status": "ok", "draining": True})
-                raise _DrainRequested()
-            elif op == "submit":
-                request = JobRequest.from_wire(message)
-                await reply(message_id, await service.submit(request))
-            elif op == "put":
-                await reply(
-                    message_id,
-                    service.put_result(
-                        message.get("kind"),
-                        message.get("payload") or {},
-                        message.get("metrics"),
-                    ),
-                )
-            else:
-                await reply(
-                    message_id,
-                    {"status": "error", "error_message": f"unknown op {op!r}"},
-                )
-        except _DrainRequested:
-            raise
-        except ReproError as error:
-            await reply(
-                message_id,
-                {
-                    "status": "error",
-                    "error_class": type(error).__name__,
-                    "error_message": str(error),
-                },
-            )
-
-    drain_requested = False
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                message = json.loads(line)
-            except ValueError:
-                await reply(None, {
-                    "status": "error", "error_message": "malformed JSON line",
-                })
-                continue
-            if not isinstance(message, dict):
-                await reply(None, {
-                    "status": "error", "error_message": "expected an object",
-                })
-                continue
-            if message.get("op") == "drain":
-                drain_requested = True
-                await reply(message.get("id"), {
-                    "status": "ok", "draining": True,
-                })
-                break
-            task = asyncio.ensure_future(dispatch(message))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-    finally:
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        try:
-            writer.close()
-        except OSError:
-            pass
-    if drain_requested:
-        raise _DrainRequested()
-
-
-class _DrainRequested(Exception):
-    """Control-flow marker: a client asked the server to drain."""
+    await handle_lines(reader, writer, {
+        "ping": lambda message: {"status": "ok", "pong": True},
+        "status": lambda message: {
+            "status": "ok", "healthz": service.healthz(),
+        },
+        "submit": lambda message: service.submit(
+            JobRequest.from_wire(message)
+        ),
+        "put": lambda message: service.put_result(
+            message.get("kind"),
+            message.get("payload") or {},
+            message.get("metrics"),
+        ),
+    })
 
 
 async def serve(
@@ -618,42 +533,13 @@ async def serve(
     process exit.
     """
     await service.start(resume=resume)
-    stop = asyncio.get_event_loop().create_future()
-
-    def request_stop(origin):
-        if not stop.done():
-            stop.set_result(origin)
-
-    async def handler(reader, writer):
-        try:
-            await _handle_connection(service, reader, writer)
-        except _DrainRequested:
-            request_stop("drain-op")
-
-    server = await asyncio.start_server(handler, host=host, port=port)
-    bound = server.sockets[0].getsockname()
-    if ready_callback is not None:
-        ready_callback(bound[0], bound[1])
-
-    import signal as _signal
-
-    loop = asyncio.get_event_loop()
-    registered = []
-    for sig in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, request_stop, sig.name)
-            registered.append(sig)
-        except (NotImplementedError, ValueError):
-            pass
     try:
-        origin = await stop
+        return await listen(
+            lambda r, w: _handle_connection(service, r, w),
+            host, port, ready_callback,
+        )
     finally:
-        for sig in registered:
-            loop.remove_signal_handler(sig)
-        server.close()
-        await server.wait_closed()
         await service.drain(timeout=drain_timeout)
-    return origin
 
 
 def build_service(

@@ -8,6 +8,8 @@ patch into real worker processes.
 import gc
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +25,11 @@ from repro.reliability import (
     RunEngine,
     RunJournal,
     Supervisor,
+)
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
 )
 
 
@@ -263,3 +270,67 @@ class TestFdHygiene:
         assert after <= before + 2, (
             f"fd table grew from {before} to {after} across 20 crashes"
         )
+
+
+class TestLostLease:
+    def test_lost_lease_resolves_after_the_respawn(self, pool, monkeypatch):
+        """A crashed lease fails only once its replacement worker runs, so
+        whoever sees the failure sees a whole pool (a slow respawn makes
+        the window wide; the done callback observes it exactly)."""
+        monkeypatch.setattr(repro.runner, "run_spec", _kill_on_seed0)
+        spawn = LeasePool._spawn
+
+        def slow_spawn(self, worker_id):
+            time.sleep(0.3)
+            return spawn(self, worker_id)
+
+        monkeypatch.setattr(LeasePool, "_spawn", slow_spawn)
+        p = pool(workers=2)
+        seen = []
+        lease = p.submit(_cell("mcf"), seed=0)
+        lease.add_done_callback(lambda future: seen.append(p.snapshot()))
+        with pytest.raises(WorkerCrashError):
+            lease.result(timeout=30)
+        seen.append(p.snapshot())
+        for snap in seen:
+            assert sum(w["alive"] for w in snap["workers"]) == 2, snap
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestParentDeath:
+    PARENT_SCRIPT = """
+import multiprocessing, sys, time
+sys.path.insert(0, {src!r})
+from repro.reliability import LeasePool
+pool = LeasePool(workers=2).start()
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+    def test_workers_exit_when_the_parent_is_sigkilled(self):
+        with subprocess.Popen(
+            [sys.executable, "-c", self.PARENT_SCRIPT.format(src=SRC)],
+            stdout=subprocess.PIPE, text=True,
+        ) as proc:
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+            finally:
+                proc.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, pids)):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"workers {survivors} outlived their parent"

@@ -27,7 +27,7 @@ from repro.reliability import (
     Supervisor,
 )
 from repro.reliability.engine import DEFAULT_SEED_STEP
-from repro.reliability import supervisor as supervisor_mod
+from repro.reliability import pool as pool_mod
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -251,7 +251,7 @@ class TestCrashIsolation:
         # Fake the parent-side RSS probe: every worker instantly looks
         # enormous, so the polling path (not the in-worker rlimit) fires.
         monkeypatch.setattr(
-            supervisor_mod, "_rss_bytes", lambda pid: 10**12
+            pool_mod, "_rss_bytes", lambda pid: 10**12
         )
         sup = Supervisor(
             jobs=1, max_rss=2**30, heartbeat_timeout=30.0, poll_interval=0.05
@@ -267,7 +267,7 @@ class TestCrashIsolation:
         assert "RSS" in outcomes[0].error_message
 
     def test_rss_bytes_reads_proc(self):
-        rss = supervisor_mod._rss_bytes(os.getpid())
+        rss = pool_mod._rss_bytes(os.getpid())
         assert rss is None or rss > 0
 
     def test_sanitizer_violation_transports_across_the_pipe(self, tmp_path):

@@ -25,7 +25,7 @@ import repro.runner
 from repro.reliability import LeasePool
 from repro.reliability.faults import FaultSchedule
 from repro.service.client import ServiceClient, request_sync, status_sync
-from repro.service.cluster import ClusterRouter, parse_backends
+from repro.service.cluster import ClusterJournal, ClusterRouter, parse_backends
 from repro.service.cluster import _handle_router_connection
 from repro.service.envelope import JobRequest, canonical_json
 from repro.service.server import AnalysisService, _handle_connection
@@ -528,6 +528,18 @@ class TestJournalResume:
             journal_path=str(journal), resume=True,
         )
         assert router.journal.nodes_for("deadbeef") == ("n0",)
+
+
+    def test_missing_main_recovers_from_bak(self, tmp_path):
+        journal = tmp_path / "cluster.json"
+        writer = ClusterJournal(str(journal))
+        writer.record("deadbeef", "sim", {"app": "x"}, ["n0", "n1"])
+        writer.flush()
+        # Crash window between the two renames: only the .bak survives.
+        journal.rename(tmp_path / "cluster.json.bak")
+        with pytest.warns(UserWarning, match="recovered cluster journal"):
+            reloaded = ClusterJournal(str(journal), resume=True)
+        assert reloaded.nodes_for("deadbeef") == ("n0", "n1")
 
 
 class TestRouterProtocol:

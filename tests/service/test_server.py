@@ -16,7 +16,7 @@ from repro.errors import SimTimeoutError
 from repro.reliability import LeasePool, RetryPolicy
 from repro.service.client import ServiceClient
 from repro.service.envelope import JobRequest, canonical_json
-from repro.service.server import AnalysisService, serve
+from repro.service.server import AnalysisService, ServiceJournal, serve
 from repro.service.store import ResultStore
 
 
@@ -319,3 +319,16 @@ class TestProtocol:
         assert health["counters"]["completed"] == 1
         assert health["queue"]["total"] == 0
         assert len(health["pool"]["workers"]) == 2
+
+
+class TestServiceJournal:
+    def test_missing_main_recovers_from_bak(self, tmp_path):
+        path = tmp_path / "journal.json"
+        journal = ServiceJournal(path)
+        request = JobRequest("sim", {"app": "mcf"})
+        journal.add(request.cache_key, request)
+        # Crash window between the two renames: only the .bak survives.
+        path.rename(tmp_path / "journal.json.bak")
+        with pytest.warns(UserWarning, match="recovered service journal"):
+            reloaded = ServiceJournal(path)
+        assert list(reloaded.pending()) == [request.cache_key]
