@@ -14,8 +14,8 @@ weaken)``:
    disabled (``max_attempts=1``) because a fuzz cell is deterministic —
    a bumped seed would re-measure the identical batch;
 3. **compare** — per-program verdicts are aggregated in generation
-   order, whether they arrived fresh from a worker or cached from the
-   journal on ``--resume``;
+   order, whether they arrived fresh or cached from the journal on
+   ``--resume``;
 4. **minimize** — every disagreement target (soundness first) is delta-
    minimized in the parent against a live differential re-check and
    journaled into the content-addressed triage corpus.
@@ -61,16 +61,6 @@ def _campaign_id(programs, seed, window, weaken):
 def _batches(items, size):
     for start in range(0, len(items), size):
         yield items[start:start + size]
-
-
-def _cell_verdicts(outcome):
-    """The per-program verdict list carried by an ok cell outcome,
-    fresh (:class:`~repro.fuzz.cells.FuzzBatchResult`) or reconstructed
-    from the journal (:class:`~repro.reliability.engine.CellResult`)."""
-    result = outcome.result
-    to_metrics = getattr(result, "to_metrics", None)
-    metrics = to_metrics() if to_metrics is not None else result.metrics
-    return metrics["programs"]
 
 
 def _collect_targets(progs, verdicts):
@@ -195,7 +185,7 @@ def run_campaign(
     failed_cells = []
     for spec, outcome in zip(specs, outcomes):
         if outcome.ok:
-            verdicts.extend(_cell_verdicts(outcome))
+            verdicts.extend(outcome.result.metrics["programs"])
         else:
             failed_cells.append({
                 "cell": spec.cell_id,

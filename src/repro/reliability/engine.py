@@ -12,21 +12,25 @@ as an isolated unit of work:
   with ``seed + k * seed_step`` and a cycle budget grown by
   ``budget_growth**k``, so seed-dependent transients get a genuinely
   different run and budget exhaustion gets more room;
-* a **run journal** records every outcome (see
-  :mod:`repro.reliability.journal`), so ``--resume`` skips completed cells;
+* a **run journal** records every failed attempt as it happens and every
+  finished cell (see :mod:`repro.reliability.journal`), so ``--resume``
+  skips completed cells and continues the seed sequence of failed ones;
 * **fault injection**: a :class:`~repro.reliability.faults.FaultSchedule`
   can be applied to cells matching a glob, to exercise all of the above
   deterministically.
 
-A failed cell yields a :class:`CellFailure`, which the experiment modules
-render as a marked gap instead of aborting; the CLI exits non-zero only if
-the number of failed cells exceeds the failure budget.
+Each cell's attempts are one :class:`CellRun`, the state machine the
+parallel supervisor and the analysis service drive too.  A failed cell
+yields a :class:`CellFailure`, which the experiment modules render as a
+marked gap instead of aborting; the CLI exits non-zero only if the number
+of failed cells exceeds the failure budget.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import time
+from types import SimpleNamespace
 
 from ..errors import (
     DeadlockError,
@@ -134,12 +138,12 @@ def capture_metrics(result):
 
 
 class CellResult:
-    """RunResult-compatible view reconstructed from journal metrics.
+    """RunResult-compatible view of a cell's journal metrics.
 
-    Provides the attribute surface the figure/table modules actually use —
+    Every ok outcome carries one, fresh or resumed, serial or parallel.
+    It provides the attribute surface the figure/table modules use —
     ``cycles``, ``instructions``, ``ipc``, ``traffic_bytes``,
-    ``traffic_breakdown`` and ``count()`` — so a resumed experiment renders
-    identically to a fresh one without re-simulating completed cells.
+    ``traffic_breakdown`` and ``count()``.
     """
 
     __slots__ = ("_metrics",)
@@ -172,13 +176,7 @@ class CellResult:
 
     @property
     def metrics(self):
-        """The raw journal metrics dict.
-
-        Cell kinds with a custom ``to_metrics()`` schema (fuzz batches)
-        are reconstructed through this rather than the RunResult-shaped
-        properties above, so cached-resume aggregation sees exactly what
-        a fresh run produced.
-        """
+        """The raw journal metrics dict (any cell kind's schema)."""
         return self._metrics
 
     def __repr__(self):
@@ -219,6 +217,176 @@ class CellOutcome:
 
     def __repr__(self):
         return f"CellOutcome({self.cell_id}: {self.status})"
+
+
+#: Worker deaths after which a cell is quarantined instead of retried.
+QUARANTINE_CRASHES = 2
+
+
+class CellRun:
+    """The attempt state machine of one cell, wherever its attempts run.
+
+    The serial engine runs each attempt in-process; the supervisor and
+    the analysis service lease it to a pool worker.  All three take the
+    next attempt's index, seed and cycle budget from :meth:`next_attempt`
+    and hand back what came of it: :meth:`complete` for an
+    :class:`~repro.reliability.worker.AttemptResult`, :meth:`crash` for a
+    :class:`~repro.errors.WorkerCrashError`.  Both return the cell's
+    final :class:`CellOutcome`, or None when it is to be retried.
+
+    With a journal, each failed attempt is recorded as it happens, so an
+    interrupted sweep resumes the seed-bump sequence where it stopped.
+    """
+
+    def __init__(
+        self, spec, policy, max_cycles=None, journal=None, base_seed=None,
+        quarantine_crashes=QUARANTINE_CRASHES,
+    ):
+        self.spec = spec
+        self.cell_id = spec.cell_id
+        self.policy = policy
+        self.budget = max_cycles
+        self.base_seed = spec.seed if base_seed is None else base_seed
+        self.journal = journal
+        self.quarantine_crashes = quarantine_crashes
+        self.attempts = []  # this session's attempt records
+        self.crashes = 0  # worker deaths attributed to this cell
+        self._current = None  # the dispatched attempt's next_attempt()
+        self._dispatched_at = None
+        # A cell whose journal record is not ``ok`` (failed, poisoned) has
+        # already consumed attempts, possibly in an earlier session, so new
+        # attempts keep walking the ``seed + k * seed_step`` sequence
+        # instead of re-running seeds that already failed.  A completed
+        # cell restarts at 0: a deliberate fresh re-run (no ``--resume``)
+        # measures the requested seed, not a bumped one.
+        record = journal.get(self.cell_id) if journal is not None else None
+        self.attempt_base = (
+            len(record.get("attempts", ()))
+            if record is not None and record.get("status") != "ok"
+            else 0
+        )
+
+    def next_attempt(self):
+        """``attempt_index``, ``seed`` and ``max_cycles`` of the next attempt.
+
+        Called once per attempt, as it is dispatched.
+        """
+        index = self.attempt_base + len(self.attempts)
+        self._dispatched_at = time.monotonic()
+        self._current = {
+            "attempt_index": index,
+            "seed": self.policy.seed_for(self.base_seed, index),
+            "max_cycles": self.policy.budget_for(self.budget, index),
+        }
+        return self._current
+
+    def complete(self, result):
+        """Judge an attempt that ran to completion (ok or failed)."""
+        record = {
+            "seed": result.seed,
+            "max_cycles": result.max_cycles,
+            "status": result.status,
+            "wall_ms": result.wall_ms,
+        }
+        if result.faults is not None:
+            record["faults"] = result.faults
+        if result.status != "ok":
+            record["error_class"] = result.error_class
+            record["error_message"] = result.error_message
+            return self._failed(
+                record,
+                result.error is not None
+                and self.policy.is_retryable(result.error),
+            )
+        report = result.sanitizer_report
+        if report is not None:
+            record["sanitizer"] = report
+        violations = report["violations"] if report else ()
+        if violations:
+            # A record-mode sanitizer lets the run finish but stamps its
+            # report on the result: violations fail the cell, with the full
+            # report journaled.  Not retryable — an invariant break is a
+            # bug, not a transient.
+            first = violations[0]
+            record["status"] = "failed"
+            record["error_class"] = first.get(
+                "error_class", "InvariantViolation"
+            )
+            record["error_message"] = first.get("message", "")
+            return self._failed(
+                record, False,
+                message=(
+                    f"{len(violations)} invariant violation(s); "
+                    f"first: {record['error_message']}"
+                ),
+            )
+        self.attempts.append(record)
+        return self._finish("ok", [record], metrics=result.metrics)
+
+    def crash(self, error):
+        """Judge an attempt whose worker died (or was killed) mid-cell."""
+        record = {
+            "seed": self._current["seed"],
+            "max_cycles": self._current["max_cycles"],
+            "status": "failed",
+            "error_class": type(error).__name__,
+            "error_message": str(error),
+            "wall_ms": int(1000 * (time.monotonic() - self._dispatched_at)),
+        }
+        self.crashes += 1
+        if self.crashes < self.quarantine_crashes:
+            return self._failed(record, True)
+        self.attempts.append(record)
+        return self._finish(
+            "poisoned", [record],
+            error_class=record["error_class"],
+            error_message=(
+                f"quarantined after {self.crashes} worker crashes; "
+                f"last: {record['error_message']}"
+            ),
+        )
+
+    def _failed(self, record, retryable, message=None):
+        """Journal a failed attempt, then retry the cell or fail it."""
+        self.attempts.append(record)
+        self._record({
+            "status": "failed",
+            "error_class": record["error_class"],
+            "error_message": record["error_message"],
+            "attempts": [record],
+        })
+        if retryable and len(self.attempts) < self.policy.max_attempts:
+            return None
+        # The attempt is journaled already; this refreshes the cell-level
+        # error fields.
+        return self._finish(
+            "failed", [],
+            error_class=record["error_class"],
+            error_message=message or record["error_message"],
+        )
+
+    def _finish(
+        self, status, attempts, metrics=None, error_class=None,
+        error_message=None,
+    ):
+        entry = {"status": status, "attempts": attempts}
+        result = None
+        if status == "ok":
+            result = CellResult(metrics)
+            entry["cycles"] = result.cycles
+            entry["metrics"] = metrics
+        else:
+            entry["error_class"] = error_class
+            entry["error_message"] = error_message
+        self._record(entry)
+        return CellOutcome(
+            self.cell_id, status, result=result, error_class=error_class,
+            error_message=error_message, attempts=self.attempts,
+        )
+
+    def _record(self, entry):
+        if self.journal is not None:
+            self.journal.record(self.cell_id, entry)
 
 
 class RunEngine:
@@ -269,9 +437,8 @@ class RunEngine:
     def schedule_for(self, cell_id):
         """The fault schedule applying to ``cell_id``, or None.
 
-        Used directly by the parallel supervisor, which ships the (shared,
-        stateless) schedule to a worker and lets the worker build its own
-        per-attempt injector.
+        The schedule is shared and stateless: each attempt builds its own
+        injector from it, in-process or in a pool worker.
         """
         if not self.fault_schedule:
             return None
@@ -279,27 +446,11 @@ class RunEngine:
             return None
         return self.fault_schedule
 
-    def _faults_for(self, cell_id):
-        schedule = self.schedule_for(cell_id)
-        return schedule.injector() if schedule is not None else None
-
-    def prior_attempts(self, cell_id):
-        """Journaled attempt count to continue the seed-bump sequence from.
-
-        A cell whose journal record is not ``ok`` (failed, poisoned) has
-        already consumed attempts — possibly in a previous session or in a
-        worker that crashed — so new attempts must keep walking the
-        deterministic ``seed + k * seed_step`` sequence instead of
-        restarting at attempt 0 and re-running seeds that already failed.
-        Completed cells reset to 0: a deliberate fresh re-run (no
-        ``--resume``) should measure the requested seed, not a bumped one.
-        """
-        if self.journal is None:
-            return 0
-        record = self.journal.get(cell_id)
-        if record is None or record.get("status") == "ok":
-            return 0
-        return len(record.get("attempts", ()))
+    def cell_run(self, spec, **kwargs):
+        """A :class:`CellRun` of ``spec`` under this engine's policy."""
+        return CellRun(
+            spec, self.policy, self.max_cycles, self.journal, **kwargs
+        )
 
     def cached_outcome(self, cell_id):
         """The ``cached`` outcome of a cell ``--resume`` skips, or None."""
@@ -323,135 +474,34 @@ class RunEngine:
         degrade gracefully on.  Non-simulation errors (``KeyboardInterrupt``,
         programming bugs outside the ``ReproError`` tree) still propagate.
         """
-        outcome = self.cached_outcome(cell_id)
-        if outcome is not None:
-            self.outcomes.append(outcome)
-            return outcome
-
-        attempts = []
-        outcome = None
-        attempt_base = self.prior_attempts(cell_id)
-        for attempt in range(self.policy.max_attempts):
-            seed = self.policy.seed_for(base_seed, attempt_base + attempt)
-            max_cycles = self.policy.budget_for(
-                self.max_cycles, attempt_base + attempt
-            )
-            watchdog = (
-                WallClockGuard(self.wall_clock_s)
-                if self.wall_clock_s is not None
-                else None
-            )
-            faults = self._faults_for(cell_id)
-            started = time.perf_counter()
-            attempt_record = {
-                "seed": seed,
-                "max_cycles": max_cycles,
-                "status": "ok",
-            }
-            try:
-                result = fn(
-                    seed=seed,
-                    max_cycles=max_cycles,
-                    watchdog=watchdog,
-                    faults=faults,
-                )
-            except ReproError as error:
-                # Only simulation-layer failures are containable; anything
-                # else (a programming bug, KeyboardInterrupt) propagates.
-                attempt_record["status"] = "failed"
-                attempt_record["error_class"] = type(error).__name__
-                attempt_record["error_message"] = str(error)
-                attempt_record["wall_ms"] = int(
-                    1000 * (time.perf_counter() - started)
-                )
-                if faults is not None:
-                    attempt_record["faults"] = faults.summary()
-                attempts.append(attempt_record)
-                if (
-                    self.policy.is_retryable(error)
-                    and attempt < self.policy.max_attempts - 1
-                ):
-                    continue
-                outcome = CellOutcome(
-                    cell_id,
-                    "failed",
-                    error_class=type(error).__name__,
-                    error_message=str(error),
-                    attempts=attempts,
-                )
-                break
-            else:
-                attempt_record["wall_ms"] = int(
-                    1000 * (time.perf_counter() - started)
-                )
-                if faults is not None:
-                    attempt_record["faults"] = faults.summary()
-                # A record-mode sanitizer lets the run finish but stamps its
-                # report on the result: violations turn the cell into a
-                # failure (counted against --max-failures), with the full
-                # report preserved in the journal.  Not retryable — an
-                # invariant break is a bug, not a transient.
-                sanitizer_report = getattr(result, "sanitizer_report", None)
-                if sanitizer_report is not None:
-                    attempt_record["sanitizer"] = sanitizer_report
-                violations = (
-                    sanitizer_report["violations"] if sanitizer_report else ()
-                )
-                if violations:
-                    attempt_record["status"] = "failed"
-                    first = violations[0]
-                    attempt_record["error_class"] = first.get(
-                        "error_class", "InvariantViolation"
-                    )
-                    attempt_record["error_message"] = first.get("message", "")
-                    attempts.append(attempt_record)
-                    outcome = CellOutcome(
-                        cell_id,
-                        "failed",
-                        error_class=attempt_record["error_class"],
-                        error_message=(
-                            f"{len(violations)} invariant violation(s); "
-                            f"first: {attempt_record['error_message']}"
-                        ),
-                        attempts=attempts,
-                    )
-                    break
-                attempts.append(attempt_record)
-                outcome = CellOutcome(
-                    cell_id, "ok", result=result, attempts=attempts
-                )
-                break
-
-        if self.journal is not None:
-            record = {
-                "status": "ok" if outcome.ok else "failed",
-                "attempts": attempts,
-            }
-            if outcome.ok:
-                record["cycles"] = outcome.result.cycles
-                record["metrics"] = capture_metrics(outcome.result)
-            else:
-                record["error_class"] = outcome.error_class
-                record["error_message"] = outcome.error_message
-            self.journal.record(cell_id, record)
-
-        self.outcomes.append(outcome)
-        return outcome
+        return self.run_spec_cell(
+            SimpleNamespace(cell_id=cell_id, seed=base_seed, run=fn)
+        )
 
     def run_spec_cell(self, spec):
-        """Execute one :class:`~repro.reliability.worker.CellSpec` in-process."""
-        return self.run_cell(spec.cell_id, spec.run, base_seed=spec.seed)
+        """Execute one cell spec in-process, attempt by attempt."""
+        # Late import: the worker module builds on this one.
+        from .worker import AttemptRequest, run_attempt
+
+        outcome = self.cached_outcome(spec.cell_id)
+        if outcome is None:
+            run = self.cell_run(spec)
+            schedule = self.schedule_for(spec.cell_id)
+        while outcome is None:
+            request = AttemptRequest(
+                spec, wall_clock_s=self.wall_clock_s, schedule=schedule,
+                **run.next_attempt(),
+            )
+            outcome = run.complete(run_attempt(request, contain=ReproError))
+        self.outcomes.append(outcome)
+        return outcome
 
     def run_specs(self, specs):
         """Execute a batch of cell specs; returns outcomes in spec order.
 
-        This is the single entry point the experiment modules use for
-        whole-sweep dispatch: with a :attr:`supervisor` attached the batch
-        fans out over its worker pool (crash-isolated, supervised — see
-        :mod:`repro.reliability.supervisor`), otherwise each cell runs
-        serially in-process exactly as :meth:`run_cell` always has.
-        Either way the returned outcome order, the journal contents, and
-        the per-cell stats are identical.
+        With a :attr:`supervisor` attached the batch fans out over its
+        worker pool (see :mod:`repro.reliability.supervisor`), otherwise
+        each cell runs serially in-process.
         """
         specs = list(specs)
         if self.supervisor is not None and self.supervisor.jobs > 1:

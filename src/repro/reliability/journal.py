@@ -1,9 +1,9 @@
 """Persistent run journal: one JSON file per experiment.
 
 The journal is the reliability engine's source of truth for resume: after
-every cell completes (or exhausts its retries) the engine records the
-outcome and the journal is atomically rewritten, so a crashed or aborted
-harness loses at most the cell that was in flight.  A subsequent
+every failed attempt and every finished cell the engine records it and the
+journal is atomically rewritten, so a crashed or aborted harness loses at
+most the attempt that was in flight.  A subsequent
 ``python -m repro.experiments <name> --resume`` skips cells whose journal
 record is ``ok`` — their figure-relevant metrics are reconstructed straight
 from the journal — and re-attempts only the failed ones.
@@ -15,7 +15,7 @@ File format (``results/journal/<experiment>.json``)::
       "experiment": "figure4",
       "cells": {
         "<cell id>": {
-          "status": "ok" | "failed",
+          "status": "ok" | "failed" | "poisoned",
           "error_class": "DeadlockError",     # failed cells only
           "error_message": "...",
           "cycles": 12345,                    # last attempt's cycle count

@@ -1,27 +1,22 @@
-"""Supervised parallel sweep execution: retry policy over the lease pool.
+"""Supervised parallel sweep execution: attempts leased to a worker pool.
 
 The :class:`Supervisor` runs a batch of experiment cells on a
 :class:`~repro.reliability.pool.LeasePool` of ``jobs`` crash-isolated
-worker processes while the existing
-:class:`~repro.reliability.RunEngine` keeps owning policy and persistence:
-retry seeds/budgets come from the engine's
-:class:`~repro.reliability.RetryPolicy`, outcomes land in the engine's
-:class:`~repro.reliability.RunJournal` (written only by this parent
-process), and failures feed the same ``--max-failures`` accounting and
-gap rendering the serial path uses.
+worker processes.  Each cell's attempts are driven by the same
+:class:`~repro.reliability.engine.CellRun` the serial engine uses — the
+retry seeds and budgets, the verdict on each attempt, the crash
+quarantine and the journal records — so failures feed the same
+``--max-failures`` accounting and gap rendering as ``--jobs 1``.  The
+journal is written only by this parent process.
 
 The pool owns the workers and their supervision (heartbeats, the RSS
 ceiling, death detection).  Whatever way a worker is lost — it exits,
 is killed by a signal, or is killed for a stale heartbeat or its RSS —
-its lease fails with :class:`~repro.errors.WorkerCrashError`, which this
-module journals as a failed attempt of the cell it was running.
-
-A crashed cell re-enters the normal seed-bump retry sequence — the
-attempt index continues from the journaled count, never restarts — but a
-cell that kills its worker :data:`QUARANTINE_CRASHES` times is
-**quarantined**: journaled with status ``poisoned`` and reported as a gap
-like any other degraded cell, so one poisonous cell cannot chew through
-the whole pool.
+its lease fails with :class:`~repro.errors.WorkerCrashError`, which the
+cell's ``CellRun`` journals as a failed attempt; a cell that kills its
+worker :data:`~repro.reliability.engine.QUARANTINE_CRASHES` times is
+**quarantined** (journaled as ``poisoned``) so one poisonous cell
+cannot chew through the whole pool.
 
 SIGINT/SIGTERM trigger a **graceful drain**: dispatch stops, in-flight
 cells finish (still under heartbeat/wall-clock supervision), the journal
@@ -40,34 +35,17 @@ from __future__ import annotations
 
 import signal
 import sys
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 
 from ..errors import WorkerCrashError
-from .engine import CellOutcome, CellResult
+from .engine import QUARANTINE_CRASHES
 from .pool import LeasePool
-
-#: Worker deaths after which a cell is quarantined instead of retried.
-QUARANTINE_CRASHES = 2
 
 #: Pool lifecycle counters each batch adds into :attr:`Supervisor.stats`.
 _POOL_STATS = (
     "workers_spawned", "workers_crashed", "heartbeat_kills", "rss_kills",
 )
-
-
-class _CellState:
-    """Supervisor-side bookkeeping for one not-yet-finished cell."""
-
-    __slots__ = ("spec", "cell_id", "attempt_base", "attempts", "crashes")
-
-    def __init__(self, spec, attempt_base):
-        self.spec = spec
-        self.cell_id = spec.cell_id
-        self.attempt_base = attempt_base
-        self.attempts = []  # this session's attempt records
-        self.crashes = 0  # worker deaths attributed to this cell
 
 
 class Supervisor:
@@ -141,16 +119,15 @@ class Supervisor:
     def run_specs(self, engine, specs):
         """Execute ``specs`` on the pool; returns outcomes in spec order.
 
-        The engine provides policy (seeds, budgets, retryability), the
-        journal, resume semantics, and fault-schedule scoping; this
-        method owns dispatch, crash policy, and deterministic merging.
-        Raises ``KeyboardInterrupt`` after a drain (completed work is
-        journaled) and propagates nothing else from cell failures.
+        The engine provides policy, the journal, resume semantics and
+        fault-schedule scoping; this method owns dispatch and
+        deterministic merging.  Raises ``KeyboardInterrupt`` after a
+        drain (completed work is journaled) and propagates nothing else
+        from cell failures.
         """
         order = []
-        states = {}
+        runs = {}
         outcomes = {}
-        pending = deque()
         for spec in specs:
             cell_id = spec.cell_id
             order.append(cell_id)
@@ -158,11 +135,12 @@ class Supervisor:
             if cached is not None:
                 outcomes[cell_id] = cached
                 continue
-            states[cell_id] = _CellState(spec, engine.prior_attempts(cell_id))
-            pending.append(cell_id)
+            runs[cell_id] = engine.cell_run(
+                spec, quarantine_crashes=self.quarantine_crashes
+            )
 
-        if states:
-            self._execute(engine, states, pending, outcomes)
+        if runs:
+            self._execute(engine, runs, outcomes)
 
         completed = [outcomes[cid] for cid in order if cid in outcomes]
         engine.outcomes.extend(completed)
@@ -173,17 +151,18 @@ class Supervisor:
             )
         return [outcomes[cid] for cid in order]
 
-    def _execute(self, engine, states, pending, outcomes):
+    def _execute(self, engine, runs, outcomes):
         self.drain_requested = False
         self.hard_abort = False
         self.drained = False
+        pending = deque(runs.values())
         pool = LeasePool(
-            workers=min(self.jobs, len(states)),
+            workers=min(self.jobs, len(runs)),
             max_rss=self.max_rss,
             heartbeat_timeout=self.heartbeat_timeout,
             poll_interval=self.poll_interval,
         )
-        leases = {}  # Future -> (cell state, seed, max_cycles, submitted at)
+        leases = {}  # Future -> CellRun
         self._install_signal_handlers()
         try:
             pool.start()
@@ -193,8 +172,14 @@ class Supervisor:
                     and len(leases) < pool.workers
                     and not self.drain_requested
                 ):
-                    state = states[pending.popleft()]
-                    self._submit(engine, pool, state, leases)
+                    run = pending.popleft()
+                    future = pool.submit(
+                        run.spec,
+                        wall_clock_s=engine.wall_clock_s,
+                        schedule=engine.schedule_for(run.cell_id),
+                        **run.next_attempt(),
+                    )
+                    leases[future] = run
                 if not leases:
                     break  # every cell finished, or the drain completed
                 done, _ = wait(
@@ -202,17 +187,19 @@ class Supervisor:
                     return_when=FIRST_COMPLETED,
                 )
                 for future in [f for f in leases if f in done]:
-                    lease = leases.pop(future)
+                    run = leases.pop(future)
                     try:
                         payload = future.result()
                     except WorkerCrashError as error:
-                        self._crash_attempt(
-                            engine, lease, error, pending, outcomes
-                        )
+                        outcome = run.crash(error)
                     else:
-                        self._complete_attempt(
-                            engine, lease[0], payload, pending, outcomes
-                        )
+                        outcome = run.complete(payload)
+                    if outcome is None:
+                        pending.append(run)
+                        continue
+                    if outcome.status == "poisoned":
+                        self.stats["cells_quarantined"] += 1
+                    outcomes[run.cell_id] = outcome
         finally:
             pool.close(kill=self.hard_abort)
             for key in _POOL_STATS:
@@ -220,152 +207,3 @@ class Supervisor:
             self._restore_signal_handlers()
         if self.drain_requested:
             self.drained = True
-
-    def _submit(self, engine, pool, state, leases):
-        attempt_index = state.attempt_base + len(state.attempts)
-        seed = engine.policy.seed_for(state.spec.seed, attempt_index)
-        max_cycles = engine.policy.budget_for(
-            engine.max_cycles, attempt_index
-        )
-        future = pool.submit(
-            state.spec,
-            seed=seed,
-            max_cycles=max_cycles,
-            wall_clock_s=engine.wall_clock_s,
-            attempt_index=attempt_index,
-            schedule=engine.schedule_for(state.cell_id),
-        )
-        leases[future] = (state, seed, max_cycles, time.monotonic())
-
-    # ------------------------------------------------- attempt bookkeeping
-
-    def _complete_attempt(self, engine, state, payload, pending, outcomes):
-        """An attempt ran to completion in a worker (ok or failed)."""
-        record = {
-            "seed": payload.seed,
-            "max_cycles": payload.max_cycles,
-            "status": payload.status,
-            "wall_ms": payload.wall_ms,
-        }
-        if payload.faults is not None:
-            record["faults"] = payload.faults
-        if payload.status == "ok":
-            if payload.sanitizer_report is not None:
-                record["sanitizer"] = payload.sanitizer_report
-            violations = (
-                payload.sanitizer_report["violations"]
-                if payload.sanitizer_report
-                else ()
-            )
-            if violations:
-                # Mirror the serial engine: a record-mode sanitizer report
-                # fails the cell, without retry.
-                first = violations[0]
-                record["status"] = "failed"
-                record["error_class"] = first.get(
-                    "error_class", "InvariantViolation"
-                )
-                record["error_message"] = first.get("message", "")
-                self._failed_attempt(
-                    engine, state, record, False, pending, outcomes,
-                    message=(
-                        f"{len(violations)} invariant violation(s); "
-                        f"first: {record['error_message']}"
-                    ),
-                )
-                return
-            state.attempts.append(record)
-            self._finish(
-                engine, state, outcomes, "ok", [record],
-                metrics=payload.metrics,
-            )
-            return
-        record["error_class"] = payload.error_class
-        record["error_message"] = payload.error_message
-        retryable = payload.error is not None and engine.policy.is_retryable(
-            payload.error
-        )
-        self._failed_attempt(
-            engine, state, record, retryable, pending, outcomes
-        )
-
-    def _crash_attempt(self, engine, lease, error, pending, outcomes):
-        """The worker died (or was killed) with a cell in flight."""
-        state, seed, max_cycles, submitted_at = lease
-        record = {
-            "seed": seed,
-            "max_cycles": max_cycles,
-            "status": "failed",
-            "error_class": type(error).__name__,
-            "error_message": str(error),
-            "wall_ms": int(1000 * (time.monotonic() - submitted_at)),
-        }
-        state.crashes += 1
-        if state.crashes < self.quarantine_crashes:
-            self._failed_attempt(
-                engine, state, record, True, pending, outcomes
-            )
-            return
-        self.stats["cells_quarantined"] += 1
-        state.attempts.append(record)
-        self._finish(
-            engine, state, outcomes, "poisoned", [record],
-            error_class=record["error_class"],
-            error_message=(
-                f"quarantined after {state.crashes} worker crashes; "
-                f"last: {record['error_message']}"
-            ),
-        )
-
-    def _failed_attempt(
-        self, engine, state, record, retryable, pending, outcomes,
-        message=None,
-    ):
-        """Journal a failed attempt, then retry the cell or fail it.
-
-        The attempt is journaled immediately — a crash of the
-        *supervisor* right after must not lose it (the attempt index and
-        seed sequence are reconstructed from the journal on resume).
-        """
-        state.attempts.append(record)
-        self._record(engine, state.cell_id, {
-            "status": "failed",
-            "error_class": record["error_class"],
-            "error_message": record["error_message"],
-            "attempts": [record],
-        })
-        if retryable and len(state.attempts) < engine.policy.max_attempts:
-            pending.append(state.cell_id)
-            return
-        # The attempt is journaled already; this refreshes the cell-level
-        # error fields.
-        self._finish(
-            engine, state, outcomes, "failed", [],
-            error_class=record["error_class"],
-            error_message=message or record["error_message"],
-        )
-
-    def _finish(
-        self, engine, state, outcomes, status, attempts, metrics=None,
-        error_class=None, error_message=None,
-    ):
-        """Journal the cell's final status and record its outcome."""
-        entry = {"status": status, "attempts": attempts}
-        result = None
-        if metrics is not None:
-            result = CellResult(metrics)
-            entry["cycles"] = result.cycles
-            entry["metrics"] = metrics
-        else:
-            entry["error_class"] = error_class
-            entry["error_message"] = error_message
-        self._record(engine, state.cell_id, entry)
-        outcomes[state.cell_id] = CellOutcome(
-            state.cell_id, status, result=result, error_class=error_class,
-            error_message=error_message, attempts=state.attempts,
-        )
-
-    @staticmethod
-    def _record(engine, cell_id, entry):
-        if engine.journal is not None:
-            engine.journal.record(cell_id, entry)

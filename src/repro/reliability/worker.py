@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 
 from ..configs import ProcessorConfig
-from ..errors import ReproError
 from .engine import WallClockGuard, capture_metrics, cell_id_for
 
 #: Seconds an idle worker waits for a task before checking that its
@@ -44,8 +43,7 @@ class CellSpec:
     """Pickle-safe description of one experiment cell.
 
     Carries everything needed to rebuild the ``run_spec``/``run_parsec``
-    call in another process; the closure-based ``cell_fn`` style the
-    serial engine historically used cannot cross a pipe.
+    call, in-process or in another process.
     """
 
     suite: str  # "spec" | "parsec"
@@ -63,7 +61,7 @@ class CellSpec:
         )
 
     def run(self, seed, max_cycles, watchdog, faults, heartbeat=None):
-        """Execute this cell (same signature the RunEngine hands cell fns)."""
+        """Execute this cell at one attempt's seed and budget."""
         # Late import so monkeypatched ``repro.runner`` entry points are
         # honored — fork-started workers inherit test patches that way.
         from .. import runner
@@ -130,11 +128,14 @@ def _transportable(error):
         return None
 
 
-def run_attempt(request, worker_id=-1, heartbeats=None):
-    """Execute one attempt in this process; never raises.
+def run_attempt(request, worker_id=-1, heartbeats=None, contain=Exception):
+    """Execute one attempt in this process; returns an AttemptResult.
 
-    Shared by :func:`worker_main` and by unit tests that want the exact
-    worker behavior without a child process.
+    Errors of class ``contain`` fail the attempt; anything else
+    propagates.  A pool worker contains every ``Exception``; the serial
+    engine contains only ``ReproError``, so programming errors reach the
+    user's terminal.  Only a pool worker (``heartbeats`` given) stamps
+    heartbeats and honours the ``worker.kill`` fault site.
     """
     spec = request.spec
     injector = (
@@ -147,12 +148,13 @@ def run_attempt(request, worker_id=-1, heartbeats=None):
     )
 
     def heartbeat(cycle):
-        if heartbeats is not None:
-            heartbeats[worker_id] = time.monotonic()
+        heartbeats[worker_id] = time.monotonic()
         if injector is not None and injector.fire("worker.kill") is not None:
             # Simulated worker death: indistinguishable from a segfault or
             # the OOM killer from the supervisor's point of view.
             os.kill(os.getpid(), signal.SIGKILL)
+
+    hooks = {"heartbeat": heartbeat} if heartbeats is not None else {}
 
     result = AttemptResult(
         cell_id=spec.cell_id,
@@ -169,36 +171,22 @@ def run_attempt(request, worker_id=-1, heartbeats=None):
             max_cycles=request.max_cycles,
             watchdog=wall_guard,
             faults=injector,
-            heartbeat=heartbeat,
+            **hooks,
         )
-    except ReproError as error:
+        # A malformed result object (broken to_metrics/count) fails the
+        # attempt like any other contained error.
+        result.metrics = capture_metrics(run)
+        result.sanitizer_report = getattr(run, "sanitizer_report", None)
+    except contain as error:
+        # In a pool worker this is crash isolation: an interpreter-level
+        # fault in a cell (MemoryError from the RSS rlimit,
+        # RecursionError, anything) must not take the worker, let alone
+        # the sweep, down; the error is journaled against the cell.
         result.status = "failed"
-        result.error = _transportable(error)
+        result.metrics = None
+        result.error = error
         result.error_class = type(error).__name__
         result.error_message = str(error)
-    except Exception as error:
-        # Crash isolation: an interpreter-level fault in a cell —
-        # MemoryError from the RSS rlimit, RecursionError, anything — must
-        # not take the worker (let alone the sweep) down.  Unlike the serial
-        # engine, which lets programming errors propagate to the user's
-        # terminal, a pool worker has nobody to propagate to — the error
-        # is journaled against the cell instead.
-        result.status = "failed"
-        result.error = _transportable(error)
-        result.error_class = type(error).__name__
-        result.error_message = str(error)
-    else:
-        try:
-            result.metrics = capture_metrics(run)
-            result.sanitizer_report = getattr(run, "sanitizer_report", None)
-        except Exception as error:
-            # A malformed result object (broken to_metrics/count) must
-            # fail the attempt, not escape and kill the worker process.
-            result.status = "failed"
-            result.metrics = None
-            result.error = _transportable(error)
-            result.error_class = type(error).__name__
-            result.error_message = str(error)
     result.wall_ms = int(1000 * (time.perf_counter() - started))
     if injector is not None:
         result.faults = injector.summary()
@@ -254,6 +242,7 @@ def worker_main(
             payload = run_attempt(
                 request, worker_id=worker_id, heartbeats=heartbeats
             )
+            payload.error = _transportable(payload.error)
             try:
                 result_conn.send(payload)
             except (BrokenPipeError, OSError):

@@ -9,7 +9,7 @@ Request lifecycle (see ``docs/SERVICE.md`` for the failure-mode table)::
               scheduler leases a pool worker when one frees up
                 -> ok            ► store.put, respond, wake coalesced waiters
                 -> worker crash  ► seed-bump retry with exponential backoff,
-                                   crash cap -> explicit failure
+                                   quarantine -> explicit failure
                 -> retryable sim error ► seed-bump retry (engine policy)
                 -> deadline      ► explicit deadline failure (never a hang)
 
@@ -30,7 +30,7 @@ import time
 
 from ..errors import ReproError, WorkerCrashError
 from ..reliability.atomic_io import atomic_write_json, read_json_with_backup
-from ..reliability.engine import RetryPolicy
+from ..reliability.engine import CellRun, RetryPolicy
 from ..reliability.pool import LeasePool
 from .admission import AdmissionQueue
 from .envelope import JobRequest
@@ -39,9 +39,8 @@ from .store import ResultStore
 
 __all__ = ["AnalysisService", "ServiceJournal", "serve"]
 
-#: Crashes of the *same request* after which it is failed outright
-#: (mirrors the batch supervisor's cell quarantine).
-CRASH_CAP = 2
+#: Ceiling of the exponential retry backoff, in seconds.
+BACKOFF_CAP_S = 2.0
 
 
 def _check_pending(data):
@@ -128,11 +127,8 @@ class AnalysisService:
         pool,
         max_depth=64,
         per_client_cap=None,
-        lane_weights=None,
         policy=None,
-        crash_cap=CRASH_CAP,
         backoff_base_s=0.05,
-        backoff_cap_s=2.0,
         default_deadline_s=None,
         journal_path=None,
     ):
@@ -140,13 +136,9 @@ class AnalysisService:
         self.pool = pool
         self.policy = policy or RetryPolicy(max_attempts=3)
         self.queue = AdmissionQueue(
-            max_depth=max_depth,
-            lane_weights=lane_weights,
-            per_client_cap=per_client_cap,
+            max_depth=max_depth, per_client_cap=per_client_cap
         )
-        self.crash_cap = crash_cap
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.default_deadline_s = default_deadline_s
         self.journal = ServiceJournal(journal_path) if journal_path else None
         self.draining = False
@@ -337,91 +329,51 @@ class AnalysisService:
     async def _execute(self, job):
         request = job.request
         spec, schedule = request.build_spec()
-        crashes = 0
-        attempt = 0
-        last = ("unknown", "no attempt ran")
-        while attempt < self.policy.max_attempts:
-            if job.deadline is not None:
-                remaining = job.deadline - time.monotonic()
-                if remaining <= 0:
-                    return self._deadline_failure(request, "before dispatch")
-            seed = self.policy.seed_for(request.base_seed, attempt)
+        run = CellRun(
+            spec, self.policy, request.max_cycles, base_seed=request.base_seed
+        )
+        while True:
+            if job.deadline is not None and job.deadline <= time.monotonic():
+                return self._deadline_failure(request, "before dispatch")
             lease = self.pool.submit(
                 spec,
-                seed=seed,
-                max_cycles=self.policy.budget_for(request.max_cycles, attempt),
                 deadline=job.deadline,
-                attempt_index=attempt,
                 schedule=schedule,
+                **run.next_attempt(),
             )
             try:
                 result = await asyncio.wrap_future(lease)
             except WorkerCrashError as error:
                 self.counters["crashes"] += 1
-                crashes += 1
-                last = (type(error).__name__, str(error))
                 if error.kind == "deadline":
                     self.counters["deadline_failures"] += 1
                     return self._deadline_failure(request, str(error))
-                if crashes >= self.crash_cap:
-                    return self._response(
-                        "failed", request,
-                        error_class="WorkerCrashError",
-                        error_message=(
-                            f"request quarantined after {crashes} worker "
-                            f"crashes; last: {error}"
-                        ),
-                        attempts=attempt + 1,
-                    )
-                attempt += 1
-                self.counters["retries"] += 1
-                await asyncio.sleep(self._backoff(attempt))
-                continue
-            if result.status == "ok":
-                violations = (
-                    result.sanitizer_report["violations"]
-                    if result.sanitizer_report
-                    else ()
-                )
-                if violations:
-                    first = violations[0]
-                    return self._response(
-                        "failed", request,
-                        error_class=first.get(
-                            "error_class", "InvariantViolation"
-                        ),
-                        error_message=(
-                            f"{len(violations)} invariant violation(s); "
-                            f"first: {first.get('message', '')}"
-                        ),
-                        attempts=attempt + 1,
-                    )
-                if not request.nocache:
-                    self.store.put(job.key, request.kind, result.metrics)
-                return self._response(
-                    "ok", request, metrics=result.metrics,
-                    cached=False, attempts=attempt + 1,
-                )
-            last = (result.error_class, result.error_message)
-            retryable = result.error is not None and self.policy.is_retryable(
-                result.error
+                outcome = run.crash(error)
+            else:
+                outcome = run.complete(result)
+            if outcome is not None:
+                break
+            self.counters["retries"] += 1
+            await asyncio.sleep(self._backoff(len(run.attempts)))
+        if not outcome.ok:
+            return self._response(
+                "failed", request,
+                error_class=outcome.error_class,
+                error_message=outcome.error_message,
+                attempts=len(run.attempts),
             )
-            if retryable and attempt + 1 < self.policy.max_attempts:
-                attempt += 1
-                self.counters["retries"] += 1
-                await asyncio.sleep(self._backoff(attempt))
-                continue
-            break
+        metrics = outcome.result.metrics
+        if not request.nocache:
+            self.store.put(job.key, request.kind, metrics)
         return self._response(
-            "failed", request,
-            error_class=last[0], error_message=last[1],
-            attempts=attempt + 1,
+            "ok", request, metrics=metrics,
+            cached=False, attempts=len(run.attempts),
         )
 
     # --------------------------------------------------------------- helpers
 
     def _backoff(self, attempt):
-        return min(self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 1))
+        return min(BACKOFF_CAP_S, self.backoff_base_s * 2 ** (attempt - 1))
 
     def _retry_after(self):
         waiting = len(self.queue) + self._active

@@ -287,6 +287,48 @@ class TestJournalAndResume:
         fresh.run_cell("t:bad", fn, base_seed=4)
         assert seen[-1] == (4, None)
 
+    def test_interrupted_serial_cell_keeps_its_failed_attempts(self, tmp_path):
+        # Each failed attempt is journaled as it fails, so an interrupt
+        # mid-retry leaves the failure on record and a resume continues
+        # the seed-bump sequence instead of re-running seed 0.
+        path = tmp_path / "j.json"
+        engine = RunEngine(
+            journal=RunJournal(path, experiment="t"),
+            policy=RetryPolicy(max_attempts=3),
+        )
+        seeds = []
+
+        def fn(seed, max_cycles, watchdog, faults):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise SimTimeoutError(100, "injected")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_cell("t:int", fn)
+        assert seeds == [0, DEFAULT_SEED_STEP]
+        record = RunJournal(path).get("t:int")
+        assert record is not None and record["status"] == "failed"
+        assert [(a["status"], a["seed"]) for a in record["attempts"]] == [
+            ("failed", 0),
+        ]
+
+        resumed = RunEngine(
+            journal=RunJournal(path), resume=True,
+            policy=RetryPolicy(max_attempts=3),
+        )
+        again = []
+
+        def ok(seed, max_cycles, watchdog, faults):
+            again.append(seed)
+            return run_spec(
+                "hmmer", ProcessorConfig(scheme=Scheme.BASE),
+                instructions=300, seed=seed,
+            )
+
+        assert resumed.run_cell("t:int", ok).status == "ok"
+        assert again == [1 * DEFAULT_SEED_STEP]
+
     def test_cell_id_format(self):
         cell = cell_id_for(
             "spec", "mcf", Scheme.IS_SPECTRE, ConsistencyModel.TSO, 0

@@ -18,6 +18,7 @@ import pytest
 
 import repro.runner
 from repro.configs import ConsistencyModel, Scheme
+from repro.errors import SimTimeoutError
 from repro.reliability import (
     CellSpec,
     RetryPolicy,
@@ -85,6 +86,12 @@ def _kill_self_on_base_seed(app, config, seed=0, **kwargs):
     return _FakeResult(seed)
 
 
+def _timeout_on_base_seed(app, config, seed=0, **kwargs):
+    if seed == 0:
+        raise SimTimeoutError(100, "injected")
+    return _FakeResult(seed)
+
+
 def _oom_on_mcf(app, config, seed=0, **kwargs):
     if app == "mcf":
         raise MemoryError("simulated allocation failure")
@@ -114,7 +121,7 @@ class TestPoolBasics:
         assert [o.status for o in outcomes] == ["ok"]
         assert engine.supervisor.stats["workers_spawned"] == 0
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         specs = _cells(
             ["hmmer", "mcf"], (Scheme.BASE, Scheme.IS_SPECTRE),
             instructions=200,
@@ -137,6 +144,24 @@ class TestPoolBasics:
         b = _strip_wall(tmp_path / "par.json")
         a["experiment"] = b["experiment"] = ""
         assert a == b
+
+        # A retryable failure on the base seed, then success on the
+        # bumped one: both paths journal the same attempt history.
+        monkeypatch.setattr(repro.runner, "run_spec", _timeout_on_base_seed)
+        RunEngine(journal=RunJournal(tmp_path / "serial-retry.json")).run_specs(
+            specs
+        )
+        RunEngine(
+            journal=RunJournal(tmp_path / "par-retry.json"),
+            supervisor=Supervisor(jobs=2, heartbeat_timeout=30.0),
+        ).run_specs(specs)
+        a = _strip_wall(tmp_path / "serial-retry.json")
+        b = _strip_wall(tmp_path / "par-retry.json")
+        assert a == b
+        assert [
+            [(x["status"], x["seed"]) for x in cell["attempts"]]
+            for cell in a["cells"].values()
+        ] == [[("failed", 0), ("ok", DEFAULT_SEED_STEP)]] * len(specs)
 
     def test_resume_serves_cached_cells_without_workers(self, tmp_path):
         specs = _cells(["hmmer"], instructions=200)
