@@ -44,6 +44,21 @@ from .mesi import MESIState
 from .protocol import DirOutcome, L1Event, apply_l1_event, route_request
 from .requests import AccessResult, MemRequest, RequestKind
 
+# Enum members read on every transaction, bound once: a class attribute
+# read of an enum member costs a descriptor call.
+_INVALID = MESIState.INVALID
+_STORE, _SPEC_LOAD = RequestKind.STORE, RequestKind.SPEC_LOAD
+_VISIBILITY_KINDS = (RequestKind.VALIDATE, RequestKind.EXPOSE)
+_L1_HIT, _STORE_UPGRADE = DirOutcome.L1_HIT, DirOutcome.STORE_UPGRADE
+_SPEC_BOUNCE = DirOutcome.SPEC_BOUNCE
+_REMOTE_OWNER_OUTCOMES = (
+    DirOutcome.SPEC_BOUNCE,
+    DirOutcome.SPEC_FORWARD,
+    DirOutcome.OWNER_FORWARD,
+    DirOutcome.OWNER_INVALIDATE,
+)
+_L2_OUTCOMES = (DirOutcome.L2_READ, DirOutcome.L2_STORE, DirOutcome.SPEC_L2_READ)
+
 __all__ = [
     "AccessResult",
     "CacheHierarchy",
@@ -52,14 +67,32 @@ __all__ = [
 ]
 
 
-_CATEGORY_BY_KIND = {
-    RequestKind.LOAD: TrafficCategory.NORMAL,
-    RequestKind.STORE: TrafficCategory.NORMAL,
-    RequestKind.PREFETCH: TrafficCategory.NORMAL,
-    RequestKind.SPEC_LOAD: TrafficCategory.SPECLOAD,
-    RequestKind.SPEC_PREFETCH: TrafficCategory.SPECLOAD,
-    RequestKind.VALIDATE: TrafficCategory.EXPOSE_VALIDATE,
-    RequestKind.EXPOSE: TrafficCategory.EXPOSE_VALIDATE,
+class _KindInfo:
+    """Per-:class:`RequestKind` constants, built once at import: the
+    kind's traffic category and its ``hierarchy.*`` counter names."""
+
+    __slots__ = (
+        "category", "requests", "l1_hits", "l1_misses",
+        "l1_misses_secondary", "remote_l1", "l2_hits", "l2_misses", "dram",
+    )
+
+    def __init__(self, kind, category):
+        self.category = category
+        for field in self.__slots__[1:]:
+            setattr(self, field, f"hierarchy.{field}.{kind.value}")
+
+
+_KIND_INFO = {
+    kind: _KindInfo(kind, category)
+    for kind, category in (
+        (RequestKind.LOAD, TrafficCategory.NORMAL),
+        (RequestKind.STORE, TrafficCategory.NORMAL),
+        (RequestKind.PREFETCH, TrafficCategory.NORMAL),
+        (RequestKind.SPEC_LOAD, TrafficCategory.SPECLOAD),
+        (RequestKind.SPEC_PREFETCH, TrafficCategory.SPECLOAD),
+        (RequestKind.VALIDATE, TrafficCategory.EXPOSE_VALIDATE),
+        (RequestKind.EXPOSE, TrafficCategory.EXPOSE_VALIDATE),
+    )
 }
 
 
@@ -85,6 +118,7 @@ class CacheHierarchy:
         self.image = image
         self.space = image.space
         self.counters = counters
+        self._counts = counters.counts
         #: Optional FaultInjector shared with the NoC, DRAM and kernel;
         #: the hierarchy itself consults the ``inv.ack_drop`` and
         #: ``mshr.stuck`` sites.
@@ -112,6 +146,11 @@ class CacheHierarchy:
         self._cores = [None] * params.num_cores
         self._mshr_waiting = [[] for _ in range(params.num_cores)]
         self._l1_ports = [[0, 0] for _ in range(params.num_cores)]  # [cycle, used]
+        self._l1_port_count = params.l1d.ports
+        self._l1_latency = params.l1d.round_trip_latency
+        self._l2_tag_latency = max(
+            1, int(params.l2_bank.round_trip_latency * _L2_TAG_FRACTION)
+        )
         self._bank_free = [0] * self.num_banks
         self._mem_node = 0
 
@@ -137,25 +176,11 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------- port model
 
-    def _l1_slot(self, core_id, now):
-        """First cycle >= now with a free L1 port for this core."""
-        port = self._l1_ports[core_id]
-        if port[0] != now:
-            if port[0] < now:
-                port[0] = now
-                port[1] = 0
-        if port[1] < self.params.l1d.ports:
-            port[1] += 1
-            return port[0]
-        port[0] += 1
-        port[1] = 1
-        return port[0]
-
     def _bank_slot(self, bank, arrival):
         """Serialize transactions through a bank's single port."""
         start = max(arrival, self._bank_free[bank])
         self._bank_free[bank] = start + self.BANK_OCCUPANCY
-        self.counters.bump("l2.bank_queue_cycles", start - arrival)
+        self._counts["l2.bank_queue_cycles"] += start - arrival
         return start
 
     # ------------------------------------------------------- sanitizer hooks
@@ -185,37 +210,49 @@ class CacheHierarchy:
     def _process(self, req):
         now = self.kernel.cycle
         line = self.space.line_of(req.addr)
-        slot = self._l1_slot(req.core_id, now)
-        l1 = self.l1s[req.core_id]
+        core_id = req.core_id
+        # The first cycle >= now with a free port of this core's L1.
+        port = self._l1_ports[core_id]
+        if port[0] < now:
+            port[0] = now
+            port[1] = 0
+        if port[1] < self._l1_port_count:
+            port[1] += 1
+        else:
+            port[0] += 1
+            port[1] = 1
+        slot = port[0]
         kind = req.kind
+        info = _KIND_INFO[kind]
         first_attempt = not req.accounted
         if first_attempt:
             req.accounted = True
-            self.counters.bump(f"hierarchy.requests.{kind.value}")
+            self._counts[info.requests] += 1
 
+        l1 = self.l1s[core_id]
         entry = l1.lookup(line, touch=not kind.invisible)
-        l1_state = entry.state if entry is not None else MESIState.INVALID
+        l1_state = entry.state if entry is not None else _INVALID
         # Only the L1-local routing outcomes are decided here; the remote
         # facts (owner, L2 residency, write-back windows) are resolved at
         # the home bank inside _transaction_steps with the same table.
         outcome = route_request(kind, l1_state, False, False, False)
-        if outcome is DirOutcome.STORE_UPGRADE:
-            self._upgrade(req, line, slot)
-            return
-        if outcome is DirOutcome.L1_HIT:
-            if kind is RequestKind.STORE:
+        if outcome is _L1_HIT:
+            ready = slot + self._l1_latency
+            if kind is _STORE:
                 entry.state = apply_l1_event(entry.state, L1Event.STORE_HIT)
-                self.dirs[self.bank_of(line)].set_owner(line, req.core_id)
-                self._note_line(line, "store_l1_hit", core_id=req.core_id)
-                ready = slot + self.params.l1d.round_trip_latency
-                self._finish_store(req, ready, "l1", _CATEGORY_BY_KIND[kind])
+                self.dirs[self.bank_of(line)].set_owner(line, core_id)
+                self._note_line(line, "store_l1_hit", core_id=core_id)
+                self._finish_store(req, ready, "l1", info.category)
                 return
             l1.stat_hits += 1
-            self.counters.bump(f"hierarchy.l1_hits.{kind.value}")
-            ready = slot + self.params.l1d.round_trip_latency
-            self._complete_read(req, ready, "l1")
+            self._counts[info.l1_hits] += 1
+            self.kernel.schedule_at(
+                ready, lambda: self._do_complete_read(req, "l1")
+            )
             return
-
+        if outcome is _STORE_UPGRADE:
+            self._upgrade(req, line, slot)
+            return
         self._miss(req, line, slot, first_attempt)
 
     # ------------------------------------------------------------- miss path
@@ -227,25 +264,24 @@ class CacheHierarchy:
             # A secondary miss (hit-under-miss): accounted separately, not
             # as a demand L1 miss.
             mshr.merge(line, req)
-            self.counters.bump("hierarchy.mshr_merges")
+            counts = self._counts
+            counts["hierarchy.mshr_merges"] += 1
             if first_attempt:
-                self.counters.bump(
-                    f"hierarchy.l1_misses_secondary.{req.kind.value}"
-                )
+                counts[_KIND_INFO[req.kind].l1_misses_secondary] += 1
             return
         if first_attempt:
-            if req.kind is not RequestKind.STORE:
+            if req.kind is not _STORE:
                 self.l1s[req.core_id].stat_misses += 1
-            self.counters.bump(f"hierarchy.l1_misses.{req.kind.value}")
+            self._counts[_KIND_INFO[req.kind].l1_misses] += 1
         if existing is not None:
             # Program-order or kind-class conflict: issue an independent
             # transaction (extra Spec-GetS in flight for the same line are
             # explicitly allowed, Section VI-A2).
-            self.counters.bump("hierarchy.mshr_bypass")
+            self._counts["hierarchy.mshr_bypass"] += 1
             self._transaction(req, line, slot)
             return
         if mshr.full:
-            self.counters.bump("hierarchy.mshr_full_stalls")
+            self._counts["hierarchy.mshr_full_stalls"] += 1
             self._mshr_waiting[req.core_id].append(req)
             return
         mshr.allocate(line, req.seq, req.kind.invisible, self.kernel.cycle)
@@ -255,7 +291,7 @@ class CacheHierarchy:
         # Never let a request reuse state allocated by a younger instruction
         # (Section VII); never mix invisible with visible transactions; and
         # stores always need their own GetX.
-        if req.kind is RequestKind.STORE:
+        if req.kind is _STORE:
             return False
         if req.seq < mshr_entry.allocator_seq:
             return False
@@ -283,15 +319,14 @@ class CacheHierarchy:
 
     def _transaction_steps(self, req, line, slot):
         kind = req.kind
-        cat = _CATEGORY_BY_KIND[kind]
+        cat = _KIND_INFO[kind].category
         bank = self.bank_of(line)
         core_node = self._core_node(req.core_id)
         bank_node = self._bank_node(bank)
 
         arrive = slot + self.noc.send(core_node, bank_node, False, cat)
         t_bank = self._bank_slot(bank, arrive)
-        tag_lat = max(1, int(self.params.l2_bank.round_trip_latency * _L2_TAG_FRACTION))
-        t_dir = t_bank + tag_lat
+        t_dir = t_bank + self._l2_tag_latency
 
         directory = self.dirs[bank]
         dentry = directory.entry(line)
@@ -299,25 +334,16 @@ class CacheHierarchy:
 
         outcome = route_request(
             kind,
-            MESIState.INVALID,  # the local L1 already missed
+            _INVALID,  # the local L1 already missed
             owner is not None and owner != req.core_id,
             self.l2[bank].contains(line),
             dentry.writeback_in_flight(t_dir) if dentry is not None else False,
         )
-        if outcome in (
-            DirOutcome.SPEC_BOUNCE,
-            DirOutcome.SPEC_FORWARD,
-            DirOutcome.OWNER_FORWARD,
-            DirOutcome.OWNER_INVALIDATE,
-        ):
+        if outcome in _REMOTE_OWNER_OUTCOMES:
             self._remote_owner_path(
                 req, line, slot, bank, dentry, t_dir, cat, outcome
             )
-        elif outcome in (
-            DirOutcome.L2_READ,
-            DirOutcome.L2_STORE,
-            DirOutcome.SPEC_L2_READ,
-        ):
+        elif outcome in _L2_OUTCOMES:
             self._l2_hit_path(req, line, bank, t_bank, cat)
         else:
             self._memory_path(req, line, bank, t_dir, cat)
@@ -331,12 +357,12 @@ class CacheHierarchy:
         owner_node = self._core_node(owner)
         core_node = self._core_node(req.core_id)
 
-        if outcome is DirOutcome.SPEC_BOUNCE:
+        if outcome is _SPEC_BOUNCE:
             # The owner is losing the line: bounce the Spec-GetS.
             self.noc.send(bank_node, owner_node, False, cat)  # forward
             nack_lat = self.noc.send(owner_node, core_node, False, cat)
             req.bounces += 1
-            self.counters.bump("invisispec.spec_gets_bounces")
+            self._counts["invisispec.spec_gets_bounces"] += 1
             retry_at = t_dir + nack_lat + self.BOUNCE_RETRY_DELAY
             # Retry the transaction directly: re-entering submit() would
             # merge the request into its own still-allocated MSHR.
@@ -349,9 +375,9 @@ class CacheHierarchy:
         t_owner = t_dir + fwd_lat + self.params.l1d.round_trip_latency
         data_lat = self.noc.send(owner_node, core_node, True, cat)
         ready = t_owner + data_lat
-        self.counters.bump(f"hierarchy.remote_l1.{kind.value}")
+        self._counts[_KIND_INFO[kind].remote_l1] += 1
 
-        if kind is RequestKind.STORE:
+        if kind is _STORE:
             # GetX: the owner is invalidated; ownership moves.
             self._deliver_invalidation(owner, line, t_owner, cat, "coherence")
             dentry.owner = req.core_id
@@ -387,11 +413,11 @@ class CacheHierarchy:
         core_node = self._core_node(req.core_id)
         self.l2[bank].lookup(line, touch=not kind.invisible)
         self.l2[bank].stat_hits += 1
-        self.counters.bump(f"hierarchy.l2_hits.{kind.value}")
+        self._counts[_KIND_INFO[kind].l2_hits] += 1
         data_lat = self.noc.send(bank_node, core_node, True, cat)
         ready = t_bank + self.params.l2_bank.round_trip_latency + data_lat
 
-        if kind is RequestKind.STORE:
+        if kind is _STORE:
             ready = self._invalidate_sharers(req, line, bank, t_bank, cat, ready)
             if ready is None:
                 return  # acks lost (fault injection): the store never performs
@@ -415,13 +441,13 @@ class CacheHierarchy:
         bank_node = self._bank_node(bank)
         core_node = self._core_node(req.core_id)
         self.l2[bank].stat_misses += 1
-        self.counters.bump(f"hierarchy.l2_misses.{kind.value}")
+        self._counts[_KIND_INFO[kind].l2_misses] += 1
 
         # Validation/exposure first checks the requester's LLC-SB.
-        if kind in (RequestKind.VALIDATE, RequestKind.EXPOSE) and self.llc_sbs:
+        if kind in _VISIBILITY_KINDS and self.llc_sbs:
             llc_sb = self.llc_sbs[req.core_id]
             if llc_sb.match(req.lq_index, line, req.epoch):
-                self.counters.bump("invisispec.llc_sb_hits")
+                self._counts["invisispec.llc_sb_hits"] += 1
                 data_lat = self.noc.send(bank_node, core_node, True, cat)
                 ready = t_dir + llc_sb.access_latency + data_lat
                 self._fill_l2(bank, line, t_dir, cat)
@@ -429,7 +455,7 @@ class CacheHierarchy:
                 self._purge_llc_sbs(line, except_core=None)
                 self._schedule_visible_fill(req, line, ready, "llc_sb", cat)
                 return
-            self.counters.bump("invisispec.llc_sb_misses")
+            self._counts["invisispec.llc_sb_misses"] += 1
 
         mem_req_lat = self.noc.send(bank_node, self._mem_node, False, cat)
         dram_done = self.dram.access(t_dir + mem_req_lat, line)
@@ -437,11 +463,11 @@ class CacheHierarchy:
         t_back = dram_done + mem_data_lat
         data_lat = self.noc.send(bank_node, core_node, True, cat)
         ready = t_back + data_lat
-        self.counters.bump(f"hierarchy.dram.{kind.value}")
+        self._counts[_KIND_INFO[kind].dram] += 1
 
         if kind.invisible:
             # No fills anywhere; deposit a copy in the requester's LLC-SB.
-            if self.llc_sbs is not None and kind is RequestKind.SPEC_LOAD:
+            if self.llc_sbs is not None and kind is _SPEC_LOAD:
                 self.llc_sbs[req.core_id].insert(
                     req.lq_index, line, req.epoch, at_cycle=t_back
                 )
@@ -453,7 +479,7 @@ class CacheHierarchy:
         self._purge_llc_sbs(line, except_core=None)
         self._fill_l2(bank, line, t_back, cat)
 
-        if kind is RequestKind.STORE:
+        if kind is _STORE:
             self.dirs[bank].set_owner(line, req.core_id)
             self._note_line(line, "store_dram", core_id=req.core_id)
             self._finish_store(req, ready, "dram", cat)
@@ -466,7 +492,7 @@ class CacheHierarchy:
 
     def _upgrade(self, req, line, slot):
         """Store hit in S: acquire ownership, invalidating other sharers."""
-        cat = _CATEGORY_BY_KIND[req.kind]
+        cat = _KIND_INFO[req.kind].category
         bank = self.bank_of(line)
         bank_node = self._bank_node(bank)
         core_node = self._core_node(req.core_id)
@@ -482,7 +508,7 @@ class CacheHierarchy:
         if entry is not None:
             entry.state = apply_l1_event(entry.state, L1Event.UPGRADE)
         self._purge_llc_sbs(line, except_core=None)
-        self.counters.bump("hierarchy.upgrades")
+        self._counts["hierarchy.upgrades"] += 1
         self._note_line(line, "store_upgrade", core_id=req.core_id)
         self._finish_store(req, ready, "upgrade", cat)
 
@@ -509,20 +535,20 @@ class CacheHierarchy:
                 # copy while the writer proceeds to M — a silent SWMR /
                 # directory-agreement break, detectable only by the
                 # sanitizer (unlike inv.ack_drop, which deadlocks visibly).
-                self.counters.bump("faults.invs_dropped")
+                self._counts["faults.invs_dropped"] += 1
                 directory.remove_core(line, sharer)
                 continue
             self._deliver_invalidation(sharer, line, deliver_at, cat, "coherence")
             ack_lat = self.noc.send(self._core_node(sharer), bank_node, False, cat)
             worst_ack = max(worst_ack, deliver_at + ack_lat)
             directory.remove_core(line, sharer)
-        self.counters.bump("coherence.invalidations_sent", len(others))
+        self._counts["coherence.invalidations_sent"] += len(others)
         if (
             others
             and self.faults is not None
             and self.faults.fire("inv.ack_drop") is not None
         ):
-            self.counters.bump("faults.inv_acks_dropped")
+            self._counts["faults.inv_acks_dropped"] += 1
             return None
         return worst_ack
 
@@ -584,7 +610,7 @@ class CacheHierarchy:
                 # read's fill was in flight: installing a Shared copy next
                 # to a Modified one would break SWMR.  The data was already
                 # delivered to the requester; simply keep no copy.
-                self.counters.bump("coherence.fills_dropped_by_writer")
+                self._counts["coherence.fills_dropped_by_writer"] += 1
                 return
             others = self.dirs[bank].sharers_other_than(line, core_id)
             # Register presence at fill time: an invalidation delivered
@@ -614,8 +640,8 @@ class CacheHierarchy:
             )
             entry = directory.entry(vline, create=True)
             entry.wb_pending_until = self.kernel.cycle + self.WRITEBACK_DELAY
-            self.counters.bump("coherence.l1_writebacks")
-        self.counters.bump("coherence.l1_evictions")
+            self._counts["coherence.l1_writebacks"] += 1
+        self._counts["coherence.l1_evictions"] += 1
         core = self._cores[core_id]
         if core is not None:
             core.on_l1_eviction(vline)
@@ -650,7 +676,7 @@ class CacheHierarchy:
         # Stale LLC-SB copies of the victim can no longer be trusted.
         self._purge_llc_sbs(vline, except_core=None)
         self.noc.send(self._bank_node(bank), self._mem_node, True, cat)
-        self.counters.bump("coherence.l2_evictions")
+        self._counts["coherence.l2_evictions"] += 1
         self._note_line(vline, "l2_eviction")
         self._note_line(line, "l2_fill")
 
@@ -671,7 +697,7 @@ class CacheHierarchy:
         if self.faults is not None and self.faults.fire("mshr.stuck") is not None:
             # The fill is lost and the MSHR entry stays pinned: merged
             # targets never complete and the core hangs on the load.
-            self.counters.bump("faults.mshr_stuck")
+            self._counts["faults.mshr_stuck"] += 1
             return
         data, version = self.image.snapshot(req.addr, req.size)
         result = AccessResult(
@@ -699,7 +725,7 @@ class CacheHierarchy:
                 )
                 self._deliver_invalidation(sharer, line, now + lat, cat, "coherence")
                 directory.remove_core(line, sharer)
-                self.counters.bump("coherence.invalidations_sent")
+                self._counts["coherence.invalidations_sent"] += 1
             directory.set_owner(line, req.core_id)
             self.image.write(req.addr, req.size, req.store_value)
             self._fill_l1(req.core_id, line, cat, state=MESIState.MODIFIED)
@@ -754,13 +780,13 @@ class CacheHierarchy:
         for core_id, l1 in enumerate(self.l1s):
             entry = l1.invalidate(line_addr)
             if entry is not None:
-                self.counters.bump("hierarchy.clflush_l1")
+                self._counts["hierarchy.clflush_l1"] += 1
                 core = self._cores[core_id]
                 if core is not None:
                     core.on_l1_eviction(line_addr)
         bank = self.bank_of(line_addr)
         if self.l2[bank].invalidate(line_addr) is not None:
-            self.counters.bump("hierarchy.clflush_l2")
+            self._counts["hierarchy.clflush_l2"] += 1
         self.dirs[bank].drop(line_addr)
 
     # ---------------------------------------------------------- debug helpers

@@ -16,14 +16,12 @@ class MESIState(enum.Enum):
     SHARED = "S"
     INVALID = "I"
 
-    @property
-    def readable(self):
-        return self is not MESIState.INVALID
-
-    @property
-    def writable(self):
-        return self in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
-
-    @property
-    def dirty(self):
-        return self is MESIState.MODIFIED
+    def __init__(self, value):
+        # Plain member attributes: these predicates sit on every cache
+        # access, where a property call per query adds up.
+        #: Any valid state serves reads.
+        self.readable = value != "I"
+        #: M and E may be written without a coherence transaction.
+        self.writable = value in ("M", "E")
+        #: M must be written back on eviction.
+        self.dirty = value == "M"

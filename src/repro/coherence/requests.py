@@ -21,18 +21,14 @@ class RequestKind(enum.Enum):
     PREFETCH = "prefetch"
     SPEC_PREFETCH = "spec_prefetch"
 
-    @property
-    def invisible(self):
-        return self in (RequestKind.SPEC_LOAD, RequestKind.SPEC_PREFETCH)
-
-    @property
-    def visible_read(self):
-        return self in (
-            RequestKind.LOAD,
-            RequestKind.VALIDATE,
-            RequestKind.EXPOSE,
-            RequestKind.PREFETCH,
-        )
+    def __init__(self, value):
+        # Plain member attributes, set once: the hierarchy asks these on
+        # every request.
+        #: Spec-GetS kinds: must change no cache, replacement or
+        #: directory state.
+        self.invisible = value in ("spec_load", "spec_prefetch")
+        #: Reads that install the line like a GetS.
+        self.visible_read = value in ("load", "validate", "expose", "prefetch")
 
 
 class MemRequest:

@@ -27,9 +27,9 @@ class TSOPolicy(ConsistencyPolicy):
         return True
 
     def usl_needs_validation(self, core, lq_entry, optimization_enabled):
-        older = core.lq.entries()
-        for other in older:
-            if other.index >= lq_entry.index:
+        index = lq_entry.index
+        for other in core.lq.live:
+            if other.index >= index:
                 break
             if not other.valid:
                 continue

@@ -71,6 +71,13 @@ from .rob import ROBEntry, ReorderBuffer
 from .tracking import LazyMinTracker
 from .trace import ReplayStream
 
+# Enum members read per op, bound once: a class attribute read of an enum
+# member costs a descriptor call.
+_ALU, _NOP, _FP = OpKind.ALU, OpKind.NOP, OpKind.FP
+_BRANCH, _STORE, _LOAD = OpKind.BRANCH, OpKind.STORE, OpKind.LOAD
+_PREFETCH, _FENCE = OpKind.PREFETCH, OpKind.FENCE
+_EXCEPTION, _RELEASE = OpKind.EXCEPTION, OpKind.RELEASE
+
 
 class Core:
     """One hardware thread of the simulated machine."""
@@ -99,10 +106,13 @@ class Core:
         self.image = hierarchy.image
         self.space = hierarchy.space
         self.counters = counters
+        self._counts = counters.counts
         self.max_instructions = max_instructions
 
         core_params = params.core
         self.width = core_params.issue_width
+        self._fp_alu_latency = core_params.fp_alu_latency
+        self._branch_resolve_latency = core_params.branch_resolve_latency
         self.rob = ReorderBuffer(core_params.rob_entries)
         self.lq = LoadQueue(core_params.load_queue_entries)
         self.sq = StoreQueue(core_params.store_queue_entries)
@@ -128,7 +138,9 @@ class Core:
         )
 
         if self.policy.uses_invisispec:
-            self.sb = SpeculativeBuffer(core_params.load_queue_entries)
+            self.sb = SpeculativeBuffer(
+                core_params.load_queue_entries, self.space.line_bytes
+            )
             self.llc_sb = LLCSpeculativeBuffer(
                 core_params.load_queue_entries,
                 access_latency=params.l2_bank.round_trip_latency,
@@ -213,13 +225,13 @@ class Core:
         if entry.state == "retired":
             return False
         kind = entry.op.kind
-        if kind in (OpKind.LOAD, OpKind.PREFETCH):
+        if kind.is_load_like:
             lq_entry = entry.lq_entry
             return lq_entry is None or not lq_entry.performed
-        if kind is OpKind.STORE:
+        if kind is _STORE:
             sq_entry = entry.sq_entry
             return sq_entry is None or not sq_entry.addr_resolved
-        return entry.op.raises_exception or kind is OpKind.EXCEPTION
+        return entry.op.raises_exception or kind is _EXCEPTION
 
     @staticmethod
     def _unvalidated_active(entry):
@@ -279,12 +291,12 @@ class Core:
         work += self._retire(now)
         self._tick_fences(now)
         work += self._drain_write_buffer(now)
-        if self.visibility is not None:
+        if self.visibility is not None and self.lq.live:
             self.visibility.tick()
         self._tick_deferred_loads(now)
         work += self._dispatch(now)
         work += self._fill_fetch_queue()
-        self.counters.bump("core.cycles")
+        self._counts["core.cycles"] += 1
         if self.done:
             return "done"
         if work:
@@ -309,12 +321,12 @@ class Core:
         The core has not changed since its last (idle) tick, so each
         skipped tick would have bumped exactly what that tick bumped.
         """
-        counters = self.counters
-        counters.bump("core.cycles", ticks)
+        counts = self._counts
+        counts["core.cycles"] += ticks
         if self._retire_stall is not None:
-            counters.bump(self._retire_stall, ticks)
+            counts[self._retire_stall] += ticks
         if self._dispatch_stall is not None:
-            counters.bump(self._dispatch_stall, ticks)
+            counts[self._dispatch_stall] += ticks
         if self._fetch_stalled:
             self.ifetch.stat_stall_cycles += ticks
 
@@ -375,7 +387,7 @@ class Core:
             fetched += 1
         if fetched:
             self.icache.on_fetch(fetched)
-            self.counters.bump("core.fetched_ops", fetched)
+            self._counts["core.fetched_ops"] += fetched
         return fetched
 
     def _drop_pending_ifetch(self):
@@ -385,62 +397,71 @@ class Core:
 
     def _enqueue_fetched(self, pos, op, is_wrong_path):
         if self._pending_front_fence or (
-            self.policy.inserts_fence_before_load and op.kind is OpKind.LOAD
+            self.policy.inserts_fence_before_load and op.kind is _LOAD
         ):
             self._pending_front_fence = False
-            self._fetch_queue.append((None, MicroOp(OpKind.FENCE, pc=op.pc), is_wrong_path))
+            self._fetch_queue.append((None, MicroOp(_FENCE, pc=op.pc), is_wrong_path))
         self._fetch_queue.append((pos, op, is_wrong_path))
-        if self.policy.inserts_fence_after_branch and op.kind is OpKind.BRANCH:
-            self._fetch_queue.append((None, MicroOp(OpKind.FENCE, pc=op.pc), is_wrong_path))
+        if self.policy.inserts_fence_after_branch and op.kind is _BRANCH:
+            self._fetch_queue.append((None, MicroOp(_FENCE, pc=op.pc), is_wrong_path))
 
     # -------------------------------------------------------------- dispatch
 
     def _dispatch(self, now):
+        fetch_queue = self._fetch_queue
+        if not fetch_queue:
+            return 0
+        rob, lq, sq = self.rob, self.lq, self.sq
+        counts = self._counts
+        width = self.width
         dispatched = 0
-        while dispatched < self.width and self._fetch_queue:
-            pos, op, is_wp = self._fetch_queue[0]
-            if self.rob.full:
+        while dispatched < width and fetch_queue:
+            pos, op, is_wp = fetch_queue[0]
+            if rob.full:
                 self._dispatch_stall = "core.rob_full_stalls"
-                self.counters.bump(self._dispatch_stall)
+                counts[self._dispatch_stall] += 1
                 break
             kind = op.kind
-            if kind in (OpKind.LOAD, OpKind.PREFETCH) and self.lq.full:
+            if kind.is_load_like and lq.full:
                 self._dispatch_stall = "core.lq_full_stalls"
-                self.counters.bump(self._dispatch_stall)
+                counts[self._dispatch_stall] += 1
                 break
-            if kind is OpKind.STORE and self.sq.full:
+            if kind is _STORE and sq.full:
                 self._dispatch_stall = "core.sq_full_stalls"
-                self.counters.bump(self._dispatch_stall)
+                counts[self._dispatch_stall] += 1
                 break
-            self._fetch_queue.popleft()
+            fetch_queue.popleft()
 
-            entry = ROBEntry(op, self._next_seq, pos, is_wp, now)
-            self._next_seq += 1
-            self.rob.push(entry)
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            entry = ROBEntry(op, seq, pos, is_wp, now)
+            rob.push(entry)
             if self.tracelog is not None:
                 self.tracelog.record(
                     now, self.core_id, "dispatch",
-                    f"seq={entry.seq} {op.kind.value}"
-                    f"{' WP' if is_wp else ''}",
+                    f"seq={seq} {kind.value}{' WP' if is_wp else ''}",
                 )
-            self._live_by_seq[entry.seq] = entry
+            self._live_by_seq[seq] = entry
             if pos is not None:
                 self._live_by_pos[pos] = entry
             dispatched += 1
-            redirected = self._dispatch_one(entry, now)
-            if redirected:
-                break
+            if self._dispatch_one(entry, op, kind, now):
+                break  # the frontend was redirected
         if dispatched:
-            self.counters.bump("core.dispatched_ops", dispatched)
+            counts["core.dispatched_ops"] += dispatched
         return dispatched
 
-    def _dispatch_one(self, entry, now):
-        """Kind-specific dispatch work; returns True on a fetch redirect."""
-        op = entry.op
-        kind = op.kind
+    def _dispatch_one(self, entry, op, kind, now):
+        """Kind-specific dispatch work, then dependence wiring; returns
+        True on a fetch redirect."""
         redirect = False
-
-        if kind is OpKind.BRANCH:
+        if kind.is_load_like:
+            lq_entry = self.lq.allocate(entry, self.epoch)
+            if self.sb is not None:
+                self.sb.allocate(lq_entry.index)
+            self._exceptable_tracker.push(entry)
+            self._unvalidated_tracker.push(entry)
+        elif kind is _BRANCH:
             predicted, checkpoint = self.predictor.predict(op.pc)
             entry.predicted_taken = predicted
             entry.predictor_checkpoint = checkpoint
@@ -448,22 +469,16 @@ class Core:
             self._branch_tracker.push(entry)
             if entry.mispredicted and not entry.is_wrong_path:
                 redirect = self._enter_wrong_path(entry)
-        elif kind in (OpKind.LOAD, OpKind.PREFETCH):
-            lq_entry = self.lq.allocate(entry, self.epoch)
-            if self.sb is not None:
-                self.sb.allocate(lq_entry.index)
-            self._exceptable_tracker.push(entry)
-            self._unvalidated_tracker.push(entry)
-        elif kind is OpKind.STORE:
+        elif kind is _STORE:
             self.sq.allocate(entry)
             self._exceptable_tracker.push(entry)
             self._store_tracker.push(entry)
         elif kind.is_fence_like:
             self._fence_tracker.push(entry)
             self._sync_tracker.push(entry)
-        elif kind is OpKind.EXCEPTION or op.raises_exception:
+        elif kind is _EXCEPTION or op.raises_exception:
             self._exceptable_tracker.push(entry)
-            if kind is OpKind.EXCEPTION and not entry.is_wrong_path:
+            if kind is _EXCEPTION and not entry.is_wrong_path:
                 # A faulting instruction redirects the frontend: the
                 # transient continuation (Meltdown-style access/transmit
                 # pairs) is supplied as the op's wrong-path arm and is
@@ -471,7 +486,33 @@ class Core:
                 # exception retires.
                 redirect = self._enter_wrong_path(entry)
 
-        self._wire_dependencies(entry, now)
+        # Wire the dependences: wait on every producer still executing.
+        pending = 0
+        if op.deps:
+            pos = entry.stream_pos
+            for distance in op.deps:
+                # Stream-positional for correct-path ops (squash-stable),
+                # seq-relative for wrong-path ops.
+                if pos is not None:
+                    producer = self._live_by_pos.get(pos - distance)
+                elif entry.seq >= distance:
+                    producer = self._live_by_seq.get(entry.seq - distance)
+                else:
+                    producer = None
+                if (
+                    producer is not None
+                    and not producer.squashed
+                    and producer.state != "completed"
+                ):
+                    pending += 1
+                    waiters = self._waiters.get(producer.seq)
+                    if waiters is None:
+                        self._waiters[producer.seq] = [entry]
+                    else:
+                        waiters.append(entry)
+        entry.pending_deps = pending
+        if pending == 0:
+            self._on_deps_ready(entry, now)
         return redirect
 
     def _enter_wrong_path(self, branch_entry):
@@ -485,71 +526,45 @@ class Core:
         self._wp_index = 0
         if (
             self.policy.inserts_fence_after_branch
-            and branch_entry.op.kind is OpKind.BRANCH
+            and branch_entry.op.kind is _BRANCH
         ):
             # The architectural fence after the branch exists on both arms;
             # the wrong path must fetch it too, or Fence-Spectre would not
             # actually block transient execution.  Exception shadows get no
             # such fence — Fence-Spectre does not defend them.
             self._pending_front_fence = True
-        self.counters.bump("core.wrong_path_entries")
+        self._counts["core.wrong_path_entries"] += 1
         return True
-
-    def _wire_dependencies(self, entry, now):
-        pending = 0
-        for distance in entry.op.deps:
-            producer = self._find_producer(entry, distance)
-            if producer is not None and producer.state != "completed":
-                pending += 1
-                self._waiters.setdefault(producer.seq, []).append(entry)
-        entry.pending_deps = pending
-        if pending == 0:
-            self._on_deps_ready(entry, now)
-
-    def _find_producer(self, entry, distance):
-        """Producer ``distance`` dynamic ops back; stream-positional for
-        correct-path ops (squash-stable), seq-relative for wrong-path ops."""
-        if entry.stream_pos is not None:
-            producer = self._live_by_pos.get(entry.stream_pos - distance)
-            if producer is not None and not producer.squashed:
-                return producer
-            return None
-        target_seq = entry.seq - distance
-        if target_seq < 0:
-            return None
-        producer = self._live_by_seq.get(target_seq)
-        if producer is not None and producer.squashed:
-            return None
-        return producer
 
     # ------------------------------------------------------------- execution
 
     def _on_deps_ready(self, entry, now):
         if entry.squashed:
             return
-        fence_seq = self.min_incomplete_fence_seq()
+        fence_seq = self._fence_tracker.min_seq()
         if fence_seq is not None and fence_seq < entry.seq:
             self._fence_blocked.append(entry)
             return
         entry.state = "executing"
-        kind = entry.op.kind
-        if kind in (OpKind.ALU, OpKind.NOP):
+        op = entry.op
+        kind = op.kind
+        if kind is _ALU or kind is _NOP:
             self.kernel.schedule(
-                max(entry.op.latency, 1), lambda: self._complete_alu(entry)
+                max(op.latency, 1), lambda: self._complete_alu(entry)
             )
-        elif kind is OpKind.FP:
+        elif kind.is_load_like:
+            self._start_load(entry, now)
+        elif kind is _BRANCH:
+            delay = max(op.latency, self._branch_resolve_latency)
+            self.kernel.schedule(delay, lambda: self._resolve_branch(entry))
+        elif kind is _FP:
             self.kernel.schedule(
-                max(entry.op.latency, self.params.core.fp_alu_latency),
+                max(op.latency, self._fp_alu_latency),
                 lambda: self._complete_alu(entry),
             )
-        elif kind is OpKind.BRANCH:
-            delay = max(entry.op.latency, self.params.core.branch_resolve_latency)
-            self.kernel.schedule(delay, lambda: self._resolve_branch(entry))
-        elif kind in (OpKind.LOAD, OpKind.PREFETCH):
-            self._start_load(entry, now)
-        elif kind is OpKind.STORE:
+        elif kind is _STORE:
             self._resolve_store(entry, now)
-        elif kind.is_fence_like or kind is OpKind.EXCEPTION:
+        elif kind.is_fence_like or kind is _EXCEPTION:
             # Fences/acquires/releases "complete" at dispatch; their ordering
             # effect is enforced at retire and via the execution gate.
             self._complete_entry(entry)
@@ -600,9 +615,9 @@ class Core:
             self.predictor.update(
                 op.pc, op.taken, entry.predictor_checkpoint, entry.mispredicted
             )
-            self.counters.bump("core.branches_resolved")
+            self._counts["core.branches_resolved"] += 1
             if entry.mispredicted:
-                self.counters.bump("core.branch_mispredicts")
+                self._counts["core.branch_mispredicts"] += 1
                 self._squash_branch(entry)
         self._complete_entry(entry)
 
@@ -626,7 +641,7 @@ class Core:
         size = op.size
         lq_entry.addr = addr
         lq_entry.size = size
-        lq_entry.line_addr = self.space.line_of(addr)
+        self.lq.set_line(lq_entry, self.space.line_of(addr))
         lq_entry.epoch = self.epoch
         entry.addr = addr
 
@@ -646,7 +661,7 @@ class Core:
                 advance_vstate(lq_entry, STATE_DEFERRED)
                 lq_entry.issued = True
                 self._deferred_tracker.push(entry)
-                self.counters.bump("invisispec.tlb_deferred")
+                self._counts["invisispec.tlb_deferred"] += 1
                 if self.monitor is not None:
                     self.monitor.close_usl_window(self, entry.seq, "usl_deferred")
                 return
@@ -669,7 +684,7 @@ class Core:
         lq_entry.issued = True
         lq_entry.issue_cycle = now
         addr, size = lq_entry.addr, lq_entry.size
-        is_prefetch = op.kind is OpKind.PREFETCH
+        is_prefetch = op.kind is _PREFETCH
 
         if self.load_issue_probe is not None:
             self.load_issue_probe(self, entry, unsafe_speculative)
@@ -691,7 +706,7 @@ class Core:
             lq_entry,
             STATE_EXPOSURE if is_prefetch else self.visibility.classify(lq_entry),
         )
-        self.counters.bump("invisispec.usls")
+        self._counts["invisispec.usls"] += 1
         if self.monitor is not None:
             # Closed before the forwarding cascade below: a forwarded value
             # can wake a dependent store whose own (visible) TLB access is
@@ -718,18 +733,18 @@ class Core:
                 mask = self.space.byte_mask(addr, size)
                 dst = self.sb.copy(older.index, lq_entry.index, mask)
                 self.sb.stat_hits += 1
-                self.counters.bump("invisispec.sb_hits")
+                self._counts["invisispec.sb_hits"] += 1
                 offset = self.space.offset_in_line(addr)
                 self._finish_usl_data(
                     entry, lq_entry, dst.data[offset:offset + size], now + 1
                 )
                 return
             # Wait for the older USL's line to arrive, then copy.
-            self.counters.bump("invisispec.sb_merge_waits")
+            self._counts["invisispec.sb_merge_waits"] += 1
             self._sb_waiters.setdefault(older.index, []).append(entry)
             return
 
-        self.counters.bump("invisispec.sb_misses")
+        self._counts["invisispec.sb_misses"] += 1
         kind = RequestKind.SPEC_PREFETCH if is_prefetch else RequestKind.SPEC_LOAD
         self._submit_load(entry, lq_entry, kind)
 
@@ -755,7 +770,7 @@ class Core:
         if entry.op.dst is not None:
             self.env[entry.op.dst] = value
         lq_entry.forwarded = True
-        self.counters.bump("core.store_forwards")
+        self._counts["core.store_forwards"] += 1
         return True
 
     def _submit_load(self, entry, lq_entry, kind):
@@ -779,7 +794,7 @@ class Core:
             return
         self.wake_requested = True
         now = self.kernel.cycle
-        if kind in (RequestKind.SPEC_LOAD, RequestKind.SPEC_PREFETCH):
+        if kind.invisible:
             mask = self.space.byte_mask(lq_entry.addr, lq_entry.size)
             line_bytes = self.image.read_bytes(
                 lq_entry.line_addr, self.space.line_bytes
@@ -830,19 +845,17 @@ class Core:
 
     def _finish_load_value(self, entry, lq_entry, data, now):
         """Deliver load bytes to the register file and wake dependents."""
-        value = 0
-        for i, byte in enumerate(data):
-            value |= (byte & 0xFF) << (8 * i)
+        value = int.from_bytes(bytes(data), "little")
         entry.value = value
         if entry.op.dst is not None:
             self.env[entry.op.dst] = value
         lq_entry.performed = True
-        self.counters.bump("core.loads_performed")
+        self._counts["core.loads_performed"] += 1
         self._complete_entry(entry)
 
     def _finish_load_local(self, entry, lq_entry, now):
         lq_entry.performed = True
-        self.counters.bump("core.loads_performed")
+        self._counts["core.loads_performed"] += 1
         self._complete_entry(entry)
 
     # -------------------------------------------------------- hw prefetcher
@@ -862,7 +875,7 @@ class Core:
         if self.prefetcher is None:
             return
         for prefetch_addr in self.prefetcher.train(pc, addr):
-            self.counters.bump("core.hw_prefetches_issued")
+            self._counts["core.hw_prefetches_issued"] += 1
             request = MemRequest(
                 core_id=self.core_id,
                 addr=prefetch_addr,
@@ -889,7 +902,7 @@ class Core:
         advance_vstate(lq_entry, STATE_NORMAL)
         vpn = self.space.page_of(lq_entry.addr)
         self.tlb.fill(vpn)
-        self.counters.bump("invisispec.tlb_walks_at_visibility")
+        self._counts["invisispec.tlb_walks_at_visibility"] += 1
         self.kernel.schedule(
             self.params.tlb.walk_latency,
             lambda: self._issue_deferred(entry, lq_entry),
@@ -935,8 +948,9 @@ class Core:
         """Memory-dependence misspeculation (the SSB surface, Section IV):
         a younger load already performed against stale data."""
         victim = None
-        for lq_entry in self.lq.entries():
-            if lq_entry.seq < store_entry.seq or not lq_entry.valid:
+        store_seq = store_entry.seq
+        for lq_entry in self.lq.live:
+            if lq_entry.rob.seq < store_seq or not lq_entry.valid:
                 continue
             # Any younger load already *issued* against memory read (or will
             # read) stale data: it bypassed this store.  Loads that have not
@@ -954,15 +968,17 @@ class Core:
                 victim = lq_entry
                 break
         if victim is not None:
-            self.counters.bump("core.store_load_alias_squashes")
+            self._counts["core.store_load_alias_squashes"] += 1
             self.squash_load(victim, reason="store_alias")
 
     # ---------------------------------------------------------------- retire
 
     def _retire(self, now):
+        rob = self.rob
+        counts = self._counts
         retired = 0
         while retired < self.width:
-            head = self.rob.head()
+            head = rob.head()
             if head is None:
                 self._maybe_finish()
                 break
@@ -973,33 +989,34 @@ class Core:
                 # A release must drain the write buffer before retiring;
                 # plain fences/acquires were completed by _tick_fences (or
                 # complete trivially here at the head).
-                if kind is OpKind.RELEASE and not self.write_buffer.empty:
+                if kind is _RELEASE and not self.write_buffer.empty:
                     self._retire_stall = "core.fence_drain_stall_cycles"
-                    self.counters.bump(self._retire_stall)
+                    counts[self._retire_stall] += 1
                     break
                 if not head.fence_done:
                     head.fence_done = True
                     self.wake_requested = True
 
             if head.state != "completed":
-                if kind in (OpKind.LOAD, OpKind.PREFETCH) and head.lq_entry is not None:
+                if kind.is_load_like and head.lq_entry is not None:
                     lq_entry = head.lq_entry
                     if lq_entry.performed and lq_entry.vstate == STATE_VALIDATION:
                         self._retire_stall = "invisispec.validation_stall_cycles"
-                        self.counters.bump(self._retire_stall)
+                        counts[self._retire_stall] += 1
                 break
 
-            if kind in (OpKind.LOAD, OpKind.PREFETCH):
+            if kind.is_load_like:
                 lq_entry = head.lq_entry
-                if lq_entry.vstate == STATE_VALIDATION and not lq_entry.visibility_done:
+                vstate = lq_entry.vstate
+                if vstate == STATE_VALIDATION and not lq_entry.visibility_done:
                     self._retire_stall = "invisispec.validation_stall_cycles"
-                    self.counters.bump(self._retire_stall)
+                    counts[self._retire_stall] += 1
                     break
-                if lq_entry.vstate == STATE_EXPOSURE and not lq_entry.visibility_issued:
+                if vstate == STATE_EXPOSURE and not lq_entry.visibility_issued:
                     break  # exposure must at least be on the wire
                 if (
                     self.monitor is not None
-                    and kind is OpKind.LOAD
+                    and kind is _LOAD
                     and lq_entry.performed
                 ):
                     self.monitor.on_load_commit(self, lq_entry, head.value)
@@ -1009,10 +1026,10 @@ class Core:
                 lq_entry.valid = False
                 if self.sb is not None:
                     self.sb.invalidate(lq_entry.index)
-            elif kind is OpKind.STORE:
+            elif kind is _STORE:
                 if self.write_buffer.full:
                     self._retire_stall = "core.wb_full_stalls"
-                    self.counters.bump(self._retire_stall)
+                    counts[self._retire_stall] += 1
                     break
                 sq_entry = head.sq_entry
                 retired_sq = self.sq.retire_head()
@@ -1025,27 +1042,29 @@ class Core:
                     head.seq,
                     is_release=False,
                 )
-            elif kind is OpKind.EXCEPTION or op.raises_exception:
-                self.counters.bump("core.exceptions")
+            elif kind is _EXCEPTION or op.raises_exception:
+                counts["core.exceptions"] += 1
                 refetch = (
                     head.stream_pos + 1 if head.stream_pos is not None else None
                 )
                 self._squash_after(head.seq, refetch, "exception")
 
-            self.rob.pop_head()
+            rob.pop_head()
             head.state = "retired"
             if self.tracelog is not None:
                 self.tracelog.record(
                     now, self.core_id, "retire",
-                    f"seq={head.seq} {head.op.kind.value}",
+                    f"seq={head.seq} {kind.value}",
                 )
-            self._live_by_seq.pop(head.seq, None)
-            self._waiters.pop(head.seq, None)
-            if head.stream_pos is not None:
-                self.replay.retire(head.stream_pos)
-                self._live_by_pos.pop(head.stream_pos, None)
+            seq = head.seq
+            self._live_by_seq.pop(seq, None)
+            self._waiters.pop(seq, None)
+            pos = head.stream_pos
+            if pos is not None:
+                self.replay.retire(pos)
+                self._live_by_pos.pop(pos, None)
                 self.retired_instructions += 1
-                self.counters.bump("core.retired_instructions")
+                counts["core.retired_instructions"] += 1
                 if (
                     not self._warmup_reported
                     and self.retired_instructions >= self.warmup_instructions
@@ -1056,11 +1075,11 @@ class Core:
             retired += 1
             if (
                 self._interrupt_protect_seq is not None
-                and head.seq >= self._interrupt_protect_seq
+                and seq >= self._interrupt_protect_seq
             ):
                 self._interrupt_protect_seq = None
                 self.interrupts.on_head_retired(now)
-            if head.op.kind.is_fence_like:
+            if kind.is_fence_like:
                 self._release_fence_blocked(now)
             if (
                 self.max_instructions is not None
@@ -1085,9 +1104,9 @@ class Core:
                 break
             if entry.state != "completed":
                 return  # an older instruction is still executing
-        if fence_entry is None or fence_entry.op.kind is OpKind.RELEASE:
+        if fence_entry is None or fence_entry.op.kind is _RELEASE:
             return
-        if not self.write_buffer.empty and fence_entry.op.kind is OpKind.FENCE:
+        if not self.write_buffer.empty and fence_entry.op.kind is _FENCE:
             # Treat an explicit workload FENCE op as a full fence only when
             # it was not injected by a defense scheme (defensive fences are
             # LFENCEs); injected fences have no stream position.
@@ -1142,7 +1161,7 @@ class Core:
     def _on_store_performed(self, wb_entry):
         self.wake_requested = True
         self.write_buffer.retire_entry(wb_entry)
-        self.counters.bump("core.stores_performed")
+        self._counts["core.stores_performed"] += 1
 
     # ------------------------------------------------------------- squashing
 
@@ -1162,8 +1181,8 @@ class Core:
     def _squash_after(self, boundary_seq, refetch_pos, reason,
                       restore_history=True):
         squashed = self.rob.squash_after(boundary_seq)
-        self.counters.bump(f"core.squashes.{reason}")
-        self.counters.bump("core.squashed_ops", len(squashed))
+        self._counts[f"core.squashes.{reason}"] += 1
+        self._counts["core.squashed_ops"] += len(squashed)
         if self.tracelog is not None:
             self.tracelog.record(
                 self.kernel.cycle, self.core_id, "squash",
@@ -1181,7 +1200,7 @@ class Core:
                 idx = entry.sq_entry.index
                 min_sq = idx if min_sq is None else min(min_sq, idx)
             if (
-                entry.op.kind is OpKind.BRANCH
+                entry.op.kind is _BRANCH
                 and not entry.resolved
                 and not entry.is_wrong_path
                 and entry.predictor_checkpoint is not None
@@ -1226,14 +1245,14 @@ class Core:
     def on_invalidation(self, line_addr, reason):
         """An invalidation for ``line_addr`` arrived at this L1."""
         self.wake_requested = True
-        self.counters.bump("core.invalidations_received")
+        self._counts["core.invalidations_received"] += 1
         if self.visibility is not None:
             self.visibility.on_invalidation(line_addr)
         self._conventional_consistency_check(line_addr, eviction=False)
 
     def on_l1_eviction(self, line_addr):
         self.wake_requested = True
-        self.counters.bump("core.l1_evictions_seen")
+        self._counts["core.l1_evictions_seen"] += 1
         if self.policy.uses_invisispec:
             # InvisiSpec does not squash on evictions: E-marked loads are
             # protected by their exposure, V-marked by their validation
@@ -1245,10 +1264,10 @@ class Core:
     def _conventional_consistency_check(self, line_addr, eviction):
         """Squash a performed, unretired, visibly-loaded load on its line's
         invalidation/eviction, per the consistency model (Section II-B)."""
-        for lq_entry in self.lq.entries():
+        for lq_entry in self.lq.loads_to_line(line_addr):
             if not lq_entry.valid or not lq_entry.performed:
                 continue
-            if lq_entry.line_addr != line_addr or lq_entry.forwarded:
+            if lq_entry.forwarded:
                 continue
             if lq_entry.rob.is_wrong_path or lq_entry.rob.state == "retired":
                 continue
@@ -1256,9 +1275,9 @@ class Core:
                 continue  # USLs are handled by the visibility engine
             if not self.consistency.squash_on_invalidation(self, lq_entry):
                 continue
-            self.counters.bump(
+            self._counts[
                 "core.eviction_squashes" if eviction else "core.invalidation_squashes"
-            )
+            ] += 1
             self.squash_load(lq_entry, reason="consistency")
             return
 

@@ -28,13 +28,12 @@ class OpKind(enum.Enum):
     EXCEPTION = "exception"  # op that raises when it reaches the ROB head
     NOP = "nop"
 
-    @property
-    def is_memory(self):
-        return self in (OpKind.LOAD, OpKind.STORE, OpKind.PREFETCH)
-
-    @property
-    def is_fence_like(self):
-        return self in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE)
+    def __init__(self, value):
+        # Plain member attributes: the pipeline asks these per op per stage.
+        self.is_memory = value in ("load", "store", "prefetch")
+        self.is_fence_like = value in ("fence", "acquire", "release")
+        #: Occupies an LQ entry (loads and software prefetches).
+        self.is_load_like = value in ("load", "prefetch")
 
 
 _uid = itertools.count()

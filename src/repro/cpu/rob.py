@@ -96,7 +96,7 @@ class ReorderBuffer:
         return self._entries[-1] if self._entries else None
 
     def push(self, entry):
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise SimulationError("ROB overflow; caller must check full")
         self._entries.append(entry)
 

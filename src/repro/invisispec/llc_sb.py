@@ -32,6 +32,7 @@ class LLCSpeculativeBuffer:
         self.capacity = capacity
         self.access_latency = access_latency
         self._slots = [LLCSBEntry() for _ in range(capacity)]
+        self._line_counts = {}  # line_addr -> valid slots holding it
         self.stat_inserts = 0
         self.stat_stale_drops = 0
         self.stat_hits = 0
@@ -49,9 +50,13 @@ class LLCSpeculativeBuffer:
         since recycled this LQ slot).
         """
         slot = self._slot(lq_index)
-        if slot.valid and slot.epoch > epoch:
-            self.stat_stale_drops += 1
-            return False
+        if slot.valid:
+            if slot.epoch > epoch:
+                self.stat_stale_drops += 1
+                return False
+            self._forget(slot.line_addr)
+        counts = self._line_counts
+        counts[line_addr] = counts.get(line_addr, 0) + 1
         slot.valid = True
         slot.line_addr = line_addr
         slot.epoch = epoch
@@ -72,10 +77,22 @@ class LLCSpeculativeBuffer:
     def invalidate_line(self, line_addr):
         """Purge any entry holding ``line_addr`` (another core touched it,
         or the line was installed in / evicted from the LLC)."""
+        if line_addr not in self._line_counts:
+            return
+        del self._line_counts[line_addr]
         for slot in self._slots:
             if slot.valid and slot.line_addr == line_addr:
                 slot.valid = False
                 self.stat_line_invalidations += 1
+
+    def _forget(self, line_addr):
+        """One valid slot of ``line_addr`` is being overwritten."""
+        counts = self._line_counts
+        left = counts[line_addr] - 1
+        if left:
+            counts[line_addr] = left
+        else:
+            del counts[line_addr]
 
     def valid_lines(self):
         return [s.line_addr for s in self._slots if s.valid]

@@ -57,10 +57,15 @@ class SBEntry:
 
 
 class SpeculativeBuffer:
-    """Per-core SB, slot-mapped onto the LQ."""
+    """Per-core SB, slot-mapped onto the LQ.
 
-    def __init__(self, capacity):
+    ``line_bytes`` is the machine's line size (the address space's); each
+    slot holds one such line.
+    """
+
+    def __init__(self, capacity, line_bytes=64):
         self.capacity = capacity
+        self.line_bytes = line_bytes
         self._slots = [SBEntry() for _ in range(capacity)]
         self.stat_fills = 0
         self.stat_copies = 0
@@ -105,7 +110,10 @@ class SpeculativeBuffer:
     def forward_from_store(self, lq_index, line_addr, offset, value_bytes):
         """Record store-forwarded bytes ahead of the Spec-GetS response."""
         slot = self._slots[lq_index % self.capacity]
-        line = list(slot.data) if slot.data is not None else [0] * 64
+        line = (
+            list(slot.data) if slot.data is not None
+            else [0] * self.line_bytes
+        )
         mask = 0
         for i, byte in enumerate(value_bytes):
             if offset + i < len(line):

@@ -28,12 +28,16 @@ from ..cpu.lsq import (
 )
 
 
+#: vstates that need no visibility action at all.
+_SETTLED_STATES = (STATE_COMPLETE, STATE_NORMAL, STATE_DEFERRED)
+
+
 class VisibilityEngine:
     """Per-core engine issuing validations/exposures for USLs."""
 
     def __init__(self, core):
         self.core = core
-        self.counters = core.counters
+        self._counts = core.counters.counts
         #: Service-latency distribution of validations — the evidence for
         #: the paper's "validation stalls are negligible" claim.
         self.validation_latency = LatencyHistogram()
@@ -43,7 +47,8 @@ class VisibilityEngine:
     def tick(self):
         """Issue eligible validations/exposures, oldest first."""
         core = self.core
-        for entry in core.lq.entries():
+        blocks_overlap = core.policy.validation_blocks_overlap
+        for entry in core.lq.live:
             if not entry.valid:
                 continue
             state = entry.vstate
@@ -51,10 +56,10 @@ class VisibilityEngine:
                 # A load that has not even resolved yet may still become a
                 # USL; issuing past it would break program-order initiation.
                 return
-            if state in (STATE_COMPLETE, STATE_NORMAL, STATE_DEFERRED):
+            if state in _SETTLED_STATES:
                 continue
             if entry.visibility_issued:
-                if entry.validation_inflight and core.policy.validation_blocks_overlap:
+                if entry.validation_inflight and blocks_overlap:
                     return  # IS-Future: nothing may pass an in-flight validation
                 continue
             # Not yet issued: must wait for the initial Spec-GetS response,
@@ -65,7 +70,7 @@ class VisibilityEngine:
             if not core.policy.visible_now(core, entry):
                 return
             self._issue(entry)
-            if entry.vstate == STATE_VALIDATION and core.policy.validation_blocks_overlap:
+            if entry.vstate == STATE_VALIDATION and blocks_overlap:
                 return
 
     def _issue(self, entry):
@@ -80,9 +85,9 @@ class VisibilityEngine:
         # the hardware prefetcher now that the access is visible (VI-B).
         core.tlb.touch(core.space.page_of(entry.addr))
         core._train_prefetcher(entry.rob.op.pc, entry.addr, lq_entry=entry)
-        self.counters.bump(
+        self._counts[
             "invisispec.validations" if is_validation else "invisispec.exposures"
-        )
+        ] += 1
         if core.tracelog is not None:
             core.tracelog.record(
                 core.kernel.cycle, core.core_id,
@@ -118,17 +123,17 @@ class VisibilityEngine:
                 self.validation_latency.record(
                     core.kernel.cycle - entry.visibility_issue_cycle
                 )
-            self.counters.bump(f"invisispec.validation_level.{result.level}")
+            self._counts[f"invisispec.validation_level.{result.level}"] += 1
             if result.level == "l1":
-                self.counters.bump("invisispec.validations_l1_hit")
+                self._counts["invisispec.validations_l1_hit"] += 1
             else:
-                self.counters.bump("invisispec.validations_l1_miss")
+                self._counts["invisispec.validations_l1_miss"] += 1
             self._finish_validation(entry, result)
         else:
             entry.validation_inflight = False
             entry.visibility_done = True
             advance_vstate(entry, STATE_COMPLETE)
-            self.counters.bump(f"invisispec.exposure_level.{result.level}")
+            self._counts[f"invisispec.exposure_level.{result.level}"] += 1
 
     def _finish_validation(self, entry, result):
         core = self.core
@@ -143,7 +148,7 @@ class VisibilityEngine:
             advance_vstate(entry, STATE_COMPLETE)
             self._early_squash_same_line(entry)
             return
-        self.counters.bump("invisispec.validation_failures")
+        self._counts["invisispec.validation_failures"] += 1
         core.squash_load(entry, reason="validation_fail")
 
     def _early_squash_same_line(self, entry):
@@ -152,12 +157,12 @@ class VisibilityEngine:
         core = self.core
         if not core.config.early_squash:
             return
-        for other in core.lq.entries():
-            if other.index <= entry.index or not other.valid:
+        index = entry.index
+        for other in core.lq.loads_to_line(entry.line_addr):
+            if other.index <= index or not other.valid:
                 continue
             if (
-                other.line_addr == entry.line_addr
-                and other.performed
+                other.performed
                 and other.vstate == STATE_VALIDATION
                 and not other.visibility_done
             ):
@@ -167,7 +172,7 @@ class VisibilityEngine:
                 offset = core.space.offset_in_line(other.addr)
                 used = other_sb.data[offset:offset + other.size]
                 if not core.image.matches(other.addr, other.size, used):
-                    self.counters.bump("invisispec.early_squash_sibling")
+                    self._counts["invisispec.early_squash_sibling"] += 1
                     core.squash_load(other, reason="consistency")
                     return
 
@@ -179,16 +184,15 @@ class VisibilityEngine:
         core = self.core
         if not core.config.early_squash:
             return
-        for entry in core.lq.entries():
+        for entry in core.lq.loads_to_line(line_addr):
             if (
                 entry.valid
                 and entry.performed
-                and entry.line_addr == line_addr
                 and entry.vstate == STATE_VALIDATION
                 and not entry.visibility_done
                 and not entry.rob.is_wrong_path
             ):
-                self.counters.bump("invisispec.early_squash_invalidation")
+                self._counts["invisispec.early_squash_invalidation"] += 1
                 core.squash_load(entry, reason="consistency")
                 return
 

@@ -9,6 +9,10 @@ InvisiSpec validations can cheaply detect "the bytes I read have since
 changed" while still implementing true value-based comparison (an ABA
 sequence of writes that restores the original bytes passes validation,
 Section VI-E4).
+
+Storage is line-granular: one ``bytearray`` per line ever written, so a
+read or write within a line is one slice.  Never-written memory reads as
+zero.
 """
 
 from __future__ import annotations
@@ -21,42 +25,72 @@ class MemoryImage:
 
     def __init__(self, address_space):
         self.space = address_space
-        self._bytes = {}  # addr -> int in [0, 255]
+        self._line_bytes = address_space.line_bytes
+        self._offset_mask = address_space.line_bytes - 1
+        self._lines = {}  # line_addr -> bytearray(line_bytes)
         self._versions = {}  # line_addr -> int
         self.stat_reads = 0
         self.stat_writes = 0
 
+    def _get(self, addr, size):
+        """``size`` bytes from ``addr``, a fresh copy (may straddle lines)."""
+        offset = addr & self._offset_mask
+        end = offset + size
+        line = self._lines.get(addr - offset)
+        if end <= self._line_bytes:
+            if line is None:
+                return bytes(size)
+            return line[offset:end]
+        head = self._line_bytes - offset
+        return self._get(addr, head) + self._get(addr + head, size - head)
+
+    def _put(self, addr, data):
+        """Store ``bytes`` at ``addr`` (may straddle lines)."""
+        lines = self._lines
+        while data:
+            offset = addr & self._offset_mask
+            base = addr - offset
+            line = lines.get(base)
+            if line is None:
+                line = lines[base] = bytearray(self._line_bytes)
+            chunk = data[:self._line_bytes - offset]
+            line[offset:offset + len(chunk)] = chunk
+            data = data[len(chunk):]
+            addr += len(chunk)
+
+    def _bump_versions(self, addr, size):
+        versions = self._versions
+        for line in self.space.lines_touched(addr, size):
+            versions[line] = versions.get(line, 0) + 1
+
     def read_byte(self, addr):
-        return self._bytes.get(addr, 0)
+        line = self._lines.get(addr & ~self._offset_mask)
+        return 0 if line is None else line[addr & self._offset_mask]
 
     def read(self, addr, size):
         """Read ``size`` bytes little-endian as an unsigned integer."""
         self.stat_reads += 1
-        value = 0
-        for i in range(size):
-            value |= self._bytes.get(addr + i, 0) << (8 * i)
-        return value
+        return int.from_bytes(self._get(addr, size), "little")
 
     def read_bytes(self, addr, size):
         """Read ``size`` bytes as a tuple (used by validation comparison)."""
-        return tuple(self._bytes.get(addr + i, 0) for i in range(size))
+        return tuple(self._get(addr, size))
 
     def write(self, addr, size, value):
         """Write ``size`` bytes little-endian; bumps the line version(s)."""
         if value < 0:
             raise SimulationError(f"negative store value {value}")
         self.stat_writes += 1
-        for i in range(size):
-            self._bytes[addr + i] = (value >> (8 * i)) & 0xFF
-        for line in self.space.lines_touched(addr, size):
-            self._versions[line] = self._versions.get(line, 0) + 1
+        if size > 0:
+            self._put(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(
+                size, "little"
+            ))
+        self._bump_versions(addr, size)
 
     def write_bytes(self, addr, data):
-        """Write an iterable of byte values starting at ``addr``."""
-        for i, byte in enumerate(data):
-            self._bytes[addr + i] = byte & 0xFF
-        for line in self.space.lines_touched(addr, max(len(data), 1)):
-            self._versions[line] = self._versions.get(line, 0) + 1
+        """Write a sequence of byte values starting at ``addr``."""
+        self._put(addr, bytes(byte & 0xFF for byte in data))
+        self._bump_versions(addr, max(len(data), 1))
         self.stat_writes += 1
 
     def line_version(self, line_addr):
@@ -64,9 +98,11 @@ class MemoryImage:
 
     def snapshot(self, addr, size):
         """Capture ``(bytes, line_version)`` for a speculative read."""
-        line = self.space.line_of(addr)
-        return self.read_bytes(addr, size), self.line_version(line)
+        return (
+            tuple(self._get(addr, size)),
+            self._versions.get(addr & ~self._offset_mask, 0),
+        )
 
     def matches(self, addr, size, snapshot_bytes):
         """Value-based comparison used by InvisiSpec validation."""
-        return self.read_bytes(addr, size) == tuple(snapshot_bytes)
+        return tuple(self._get(addr, size)) == tuple(snapshot_bytes)

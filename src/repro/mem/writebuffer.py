@@ -62,6 +62,8 @@ class WriteBuffer:
         Relaxed mode: any non-inflight entry, up to ``max_inflight``,
         except that a release must wait for all earlier entries to leave.
         """
+        if not self._entries:
+            return []
         inflight = sum(1 for e in self._entries if e.inflight)
         if inflight >= self.max_inflight:
             return []

@@ -17,6 +17,13 @@ class MeshTopology:
             raise ConfigError(f"invalid mesh {cols}x{rows}")
         self.cols = cols
         self.rows = rows
+        nodes = cols * rows
+        #: ``_hops[src * nodes + dst]``: X-Y hop count, built once.
+        self._hops = [
+            abs(src % cols - dst % cols) + abs(src // cols - dst // cols)
+            for src in range(nodes)
+            for dst in range(nodes)
+        ]
 
     @property
     def num_nodes(self):
@@ -29,9 +36,11 @@ class MeshTopology:
 
     def hops(self, src, dst):
         """Manhattan (X-Y routed) hop count between two nodes."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
+        nodes = self.cols * self.rows
+        if 0 <= src < nodes and 0 <= dst < nodes:
+            return self._hops[src * nodes + dst]
+        bad = dst if 0 <= src < nodes else src
+        raise ConfigError(f"node {bad} outside {self.cols}x{self.rows} mesh")
 
     def max_hops(self):
         return (self.cols - 1) + (self.rows - 1)

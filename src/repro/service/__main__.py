@@ -23,6 +23,7 @@ import asyncio
 import json
 import sys
 
+from ..reliability.atomic_io import atomic_write_text
 from .client import request_sync, status_sync
 from .server import build_service, serve
 
@@ -118,8 +119,8 @@ def _cmd_serve(args):
     def ready(host, port):
         print(f"serving on {host}:{port}", flush=True)
         if args.ready_file:
-            with open(args.ready_file, "w") as handle:
-                handle.write(f"{host} {port}\n")
+            # Atomic: a watcher polls for the file and reads it at once.
+            atomic_write_text(args.ready_file, f"{host} {port}\n")
 
     loop = asyncio.new_event_loop()
     asyncio.set_event_loop(loop)

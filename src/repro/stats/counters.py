@@ -18,6 +18,15 @@ class Counters:
     def __init__(self):
         self._counts = defaultdict(int)
 
+    @property
+    def counts(self):
+        """The live name -> count mapping (missing names read 0).
+
+        ``counts[name] += n`` is ``bump(name, n)`` without the call, for
+        per-cycle hot paths that hold the mapping.
+        """
+        return self._counts
+
     def bump(self, name, amount=1):
         self._counts[name] += amount
 

@@ -98,8 +98,8 @@ class TestLoadQueue:
         lq = LoadQueue(4)
         a = lq.allocate(entry(0, isa.OpKind.LOAD), epoch=0)
         b = lq.allocate(entry(1, isa.OpKind.LOAD), epoch=0)
-        a.line_addr = 0x1000
-        b.line_addr = 0x2000
+        lq.set_line(a, 0x1000)
+        lq.set_line(b, 0x2000)
         assert lq.loads_to_line(0x1000) == [a]
 
     def test_older_pending_request_only_older_usls(self):
@@ -108,7 +108,7 @@ class TestLoadQueue:
         mid = lq.allocate(entry(1, isa.OpKind.LOAD), epoch=0)
         newer = lq.allocate(entry(2, isa.OpKind.LOAD), epoch=0)
         for e in (older, mid, newer):
-            e.line_addr = 0x1000
+            lq.set_line(e, 0x1000)
             e.issued = True
         older.vstate = STATE_VALIDATION
         mid.vstate = "N"  # normal load: does not fill the SB
