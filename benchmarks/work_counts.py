@@ -9,7 +9,10 @@ For each sim workload this runs one traced pass of perfbench at seed 0
 (``perfbench/run.py --workload W --seed 0 --seconds 0 --trace 1``) and
 reads the exact counts below from its JSON line.  They count calls and
 events, not time, so they repeat exactly on any host and across
-``PYTHONHASHSEED`` values.
+``PYTHONHASHSEED`` values.  The traced pass follows an untraced pass in
+the same process, so the runner's pre-training memo is warm and
+``workloads.next_op_calls`` counts only the cells' own ops: a memo that
+stops hitting raises it by 15k per walk.
 
 The check fails (exit 1) when a run is not ``"correct": true`` — every cell
 must match its golden snapshot, and the tracer must still find every
@@ -35,6 +38,7 @@ COUNTS = (
     "coherence.submit_calls",
     "mem.memimage.read_calls",
     "cpu.lsq.entries_per_kinstr",
+    "workloads.next_op_calls",
 )
 SEED = 0
 

@@ -13,6 +13,8 @@ is repaired on a squash using the checkpoint taken at prediction time.
 
 from __future__ import annotations
 
+from array import array
+
 
 class TournamentPredictor:
     """Local + global + chooser, gem5-style."""
@@ -110,6 +112,43 @@ class TournamentPredictor:
         """Restore speculative history for squashed-but-unresolved branches."""
         history_at_predict, _lt, _gt = checkpoint
         self.global_history = history_at_predict
+
+    # ------------------------------------------------------------ snapshots
+
+    @property
+    def geometry(self):
+        """The constructor arguments: ``TournamentPredictor(*geometry)``."""
+        return (
+            self.local_history_entries, self.local_history_bits,
+            self.local_counter_entries, self.global_history_bits,
+        )
+
+    def snapshot(self):
+        """Immutable, compact copy of the trained state (not the stats).
+
+        The three 2-bit counter tables are ``bytes``, the local histories
+        the ``bytes`` of an ``array('H')``, plus the global history.
+        """
+        return (
+            array("H", self._local_history).tobytes(),
+            bytes(self._local_counters),
+            bytes(self._global_counters),
+            bytes(self._choice_counters),
+            self.global_history,
+        )
+
+    def restore(self, snapshot):
+        """Load a :meth:`snapshot` of a predictor of the same geometry.
+
+        Every table is a new list, so training this predictor afterwards
+        never writes into ``snapshot`` or into any other predictor.
+        """
+        local_history, local, global_, choice, global_history = snapshot
+        self._local_history = list(array("H", local_history))
+        self._local_counters = list(local)
+        self._global_counters = list(global_)
+        self._choice_counters = list(choice)
+        self.global_history = global_history
 
     @property
     def accuracy(self):

@@ -9,7 +9,10 @@ returns results keyed by scheme, normalized against Base the way Figures
 
 from __future__ import annotations
 
+import functools
+
 from .configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig
+from .cpu.branch import TournamentPredictor
 from .cpu.isa import OpKind
 from .params import SystemParams
 from .system import System
@@ -27,15 +30,43 @@ DEFAULT_PARSEC_INSTRUCTIONS = 4_000  # per core, times 8 cores
 #: are warm; at our scales predictor warmup would otherwise dominate.
 DEFAULT_PRETRAIN_OPS = 15_000
 
+#: Trained predictors kept per process (LRU): one per (profile, seed, core,
+#: ops, predictor geometry), ~10 KB each.
+PRETRAIN_MEMO_ENTRIES = 256
+
 
 def _pretrain_predictor(core, profile, seed, core_id, ops):
-    """Walk the same committed stream through the predictor, in order.
+    """Train ``core``'s predictor on the first ``ops`` ops of its stream.
 
     This is a functional (zero-cycle) warmup: the pipeline will replay the
     same deterministic stream, so per-PC biases are already learned when
     measurement starts — the analogue of gem5's fast-forward phase.
+
+    The trained tables are a pure function of (profile, seed, core_id,
+    ops, predictor geometry), so each process walks a key once and later
+    calls copy its snapshot.  Precondition: ``core.predictor`` is freshly
+    built, as every ``Core`` builds its own; the copy then equals what
+    walking it would give.  The copy is private: the run's own training
+    never reaches the memo, another core or another run.
     """
     predictor = core.predictor
+    predictor.restore(
+        _pretrained(profile, seed, core_id, ops, predictor.geometry)
+    )
+    predictor.stat_lookups = 0
+    predictor.stat_mispredicts = 0
+
+
+@functools.lru_cache(maxsize=PRETRAIN_MEMO_ENTRIES)
+def _pretrained(profile, seed, core_id, ops, geometry):
+    """Snapshot of a fresh predictor after :func:`_walk_predictor`."""
+    predictor = TournamentPredictor(*geometry)
+    _walk_predictor(predictor, profile, seed, core_id, ops)
+    return predictor.snapshot()
+
+
+def _walk_predictor(predictor, profile, seed, core_id, ops):
+    """Walk the same committed stream through the predictor, in order."""
     next_op = SyntheticTrace(profile, seed=seed, core_id=core_id).next_op
     predict, update = predictor.predict, predictor.update
     branch = OpKind.BRANCH
@@ -45,8 +76,6 @@ def _pretrain_predictor(core, profile, seed, core_id, ops):
             pc, taken = op.pc, op.taken
             predicted, checkpoint = predict(pc)
             update(pc, taken, checkpoint, predicted != taken)
-    predictor.stat_lookups = 0
-    predictor.stat_mispredicts = 0
 
 
 def run_spec(

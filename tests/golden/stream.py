@@ -5,8 +5,10 @@ digest covers the first ``STREAM_OPS`` correct-path ops (every field the
 pipeline reads) and the 48-op wrong path of every ``WRONG_PATH_EVERY``-th
 branch, drawn right after that branch is emitted, as the core would.  Per
 profile it also covers the predictor after a ``PRETRAIN_OPS``-op
-``_pretrain_predictor`` walk on seed 0, core 0: all three counter tables,
-the local histories and the global history.
+pre-training walk on seed 0, core 0: all three counter tables, the local
+histories and the global history.  The digest runs the uncached walk
+(``_walk_predictor``), so a memo warmed earlier in the process cannot
+stand in for it.
 
 A speed-up or refactor of the generator or the predictor must leave every
 digest as it is; ``tests/workloads/test_stream_golden.py`` checks that
@@ -18,11 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from types import SimpleNamespace
 
 from repro.cpu.branch.tournament import TournamentPredictor
 from repro.cpu.isa import OpKind
-from repro.runner import _pretrain_predictor
+from repro.runner import _walk_predictor
 from repro.workloads import PARSEC_PROFILES, SPEC_PROFILES, SyntheticTrace
 
 DIGEST_PATH = os.path.join(os.path.dirname(__file__), "stream_digests.json")
@@ -66,9 +67,13 @@ def stream_digest(profile, seed, core_id):
 
 def pretrain_digest(profile):
     """sha256 of the predictor's state after pre-training on seed 0, core 0."""
-    core = SimpleNamespace(predictor=TournamentPredictor())
-    _pretrain_predictor(core, profile, 0, 0, PRETRAIN_OPS)
-    predictor = core.predictor
+    predictor = TournamentPredictor()
+    _walk_predictor(predictor, profile, 0, 0, PRETRAIN_OPS)
+    return predictor_digest(predictor)
+
+
+def predictor_digest(predictor):
+    """sha256 of a predictor's tables and global history."""
     return _sha256((
         predictor._local_history, predictor._local_counters,
         predictor._global_counters, predictor._choice_counters,
