@@ -16,8 +16,11 @@ a mismatch stops the run with exit status 1.
 
 Printed per round: the parent's and the change's summed ``System.run``
 seconds and their ratio (parent / change, so > 1 means the change is
-faster).  The last lines give the rounds the change won and the overall
-ratio of summed run times.
+faster).  The last lines give the rounds the change won, the overall
+ratio of summed run times, and for each tree its worker's peak RSS
+(``ru_maxrss``) and the number and summed time of the cyclic collector's
+full (generation-2) collections during the rounds, so memory and
+collector changes can be sized with the same protocol.
 
 This is a sizing aid: it interleaves single cells, which cancels the host's
 slow speed-state drift better than whole alternating benchmark runs do.
@@ -27,17 +30,40 @@ Claims still come from ``perfbench/run.py`` alternating pairs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
+
+
+class _FullCollections:
+    """A ``gc.callbacks`` hook: counts full collections and their time."""
+
+    def __init__(self):
+        self.count = 0
+        self.seconds = 0.0
+        self._started = None
+
+    def __call__(self, phase, info):
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.count += 1
+            self.seconds += time.perf_counter() - self._started
+            self._started = None
 
 
 def _worker(checkout, workload, seed):
-    """Serve ``<cell index>`` lines on stdin with one JSON line each."""
+    """Serve ``<cell index>`` lines on stdin with one JSON line each; a
+    ``stats`` line answers with the process's memory and collector use."""
     checkout = os.path.abspath(checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), checkout]
-    from perfbench import simwork
+    from perfbench import common, simwork
 
     golden = simwork.load_golden(seed)
     if golden is None:
@@ -46,8 +72,17 @@ def _worker(checkout, workload, seed):
     clock = simwork.RunClock()
     with clock:
         simwork.warm_up(workload, clock)
+        full = _FullCollections()
+        gc.callbacks.append(full)
         print(f"ready {len(cells)}", flush=True)
         for line in sys.stdin:
+            if line.strip() == "stats":
+                print(json.dumps({
+                    "peak_rss_mb": common.rss_mb(resource.RUSAGE_SELF),
+                    "full_collections": full.count,
+                    "full_collection_s": full.seconds,
+                }), flush=True)
+                continue
             sample = simwork.run_cell(cells[int(line)], seed, clock)
             diff = simwork.snapshot_diff(
                 golden[sample.cell_id], sample.snapshot
@@ -73,19 +108,28 @@ class _Tree:
             raise SystemExit(f"{name} worker failed to start")
         self.cells = int(banner[1])
 
-    def run(self, index):
-        self.process.stdin.write(f"{index}\n")
+    def _ask(self, request):
+        self.process.stdin.write(f"{request}\n")
         self.process.stdin.flush()
         reply = self.process.stdout.readline()
         if not reply:
             raise SystemExit(f"{self.name} worker died")
-        result = json.loads(reply)
+        return json.loads(reply)
+
+    def run(self, index):
+        result = self._ask(index)
         if result["diff"]:
             raise SystemExit(
                 f"{self.name}: {result['cell']} differs from the golden "
                 f"snapshot: {', '.join(result['diff'][:8])}"
             )
         return result["run_s"]
+
+    def report_stats(self):
+        stats = self._ask("stats")
+        print(f"{self.name}: peak RSS {stats['peak_rss_mb']:.2f} MiB, "
+              f"{stats['full_collections']} full collections "
+              f"in {stats['full_collection_s']:.3f} s")
 
     def close(self):
         self.process.stdin.close()
@@ -131,6 +175,8 @@ def main(argv=None):
         print(f"wins: {wins}/{args.rounds}")
         print(f"overall ratio (parent / change run time): "
               f"{totals[0] / totals[1]:.3f}")
+        parent.report_stats()
+        change.report_stats()
     finally:
         parent.close()
         change.close()

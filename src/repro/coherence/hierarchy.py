@@ -160,6 +160,15 @@ class CacheHierarchy:
         """Register the core for invalidation/eviction callbacks."""
         self._cores[core_id] = core
 
+    def release(self):
+        """Forget the attached cores and the requests still in flight,
+        whose completion callbacks close over their cores (the run is
+        over).  Cache, directory and NoC state stay readable."""
+        self._cores = [None] * len(self._cores)
+        self._mshr_waiting = [[] for _ in self._mshr_waiting]
+        for mshr in self.mshrs:
+            mshr.clear()
+
     def set_llc_sbs(self, llc_sbs):
         self.llc_sbs = llc_sbs
 

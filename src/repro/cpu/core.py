@@ -185,9 +185,12 @@ class Core:
         self._unvalidated_tracker = LazyMinTracker(self._unvalidated_active)
         self._fence_tracker = LazyMinTracker(lambda e: not e.fence_done)
         self._sync_tracker = LazyMinTracker(lambda e: e.state != "retired")
-        # Loads whose TLB miss deferred them to their visibility point.
+        # Loads whose TLB miss deferred them to their visibility point.  A
+        # retired entry no longer points at its (dead) LQ entry.
         self._deferred_tracker = LazyMinTracker(
-            lambda e: e.lq_entry.valid and e.lq_entry.vstate == STATE_DEFERRED
+            lambda e: e.lq_entry is not None
+            and e.lq_entry.valid
+            and e.lq_entry.vstate == STATE_DEFERRED
         )
 
         #: Set by every waking entry point; cleared at the start of a tick.
@@ -1026,6 +1029,7 @@ class Core:
                 lq_entry.valid = False
                 if self.sb is not None:
                     self.sb.invalidate(lq_entry.index)
+                head.lq_entry = None  # leaves no ROB <-> LQ cycle behind
             elif kind is _STORE:
                 if self.write_buffer.full:
                     self._retire_stall = "core.wb_full_stalls"
@@ -1042,6 +1046,7 @@ class Core:
                     head.seq,
                     is_release=False,
                 )
+                head.sq_entry = None
             elif kind is _EXCEPTION or op.raises_exception:
                 counts["core.exceptions"] += 1
                 refetch = (
@@ -1193,12 +1198,16 @@ class Core:
         min_sq = None
         oldest_branch_checkpoint = None
         for entry in squashed:
+            # A squashed op keeps no pointer into the LQ/SQ: the dropped
+            # queue entry's ``rob`` link is then the pair's only edge.
             if entry.lq_entry is not None:
                 idx = entry.lq_entry.index
                 min_lq = idx if min_lq is None else min(min_lq, idx)
+                entry.lq_entry = None
             if entry.sq_entry is not None:
                 idx = entry.sq_entry.index
                 min_sq = idx if min_sq is None else min(min_sq, idx)
+                entry.sq_entry = None
             if (
                 entry.op.kind is _BRANCH
                 and not entry.resolved
@@ -1280,6 +1289,20 @@ class Core:
             ] += 1
             self.squash_load(lq_entry, reason="consistency")
             return
+
+    def release(self):
+        """Cut the core's back-edges once its run is over.
+
+        The visibility engine's ``core`` link, the replay stream's end
+        hook, the warm-up callback and the LQ/SQ pointers of ops still in
+        the ROB.  Retired state, counters and the caches stay readable.
+        """
+        if self.visibility is not None:
+            self.visibility.core = None
+        self.replay.on_end = None
+        self._on_warmup_done = None
+        for entry in self.rob:
+            entry.lq_entry = entry.sq_entry = None
 
     # ------------------------------------------------------------ inspection
 

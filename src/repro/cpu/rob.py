@@ -3,7 +3,9 @@
 Instructions enter at dispatch in program order, complete out of order, and
 retire in order from the head (Section II-A).  The entry is the central
 per-instruction record: dependence wake-up counts, execution state, branch
-prediction bookkeeping, and pointers into the LQ/SQ.
+prediction bookkeeping, and pointers into the LQ/SQ, which the core clears
+when the instruction retires or is squashed (the LQ/SQ entry keeps its
+``rob`` link while it lives).
 """
 
 from __future__ import annotations

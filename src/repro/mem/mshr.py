@@ -75,6 +75,10 @@ class MSHRFile:
             raise SimulationError(f"completing absent MSHR 0x{line_addr:x}")
         return entry
 
+    def clear(self):
+        """Drop every outstanding entry (the run that owned them is over)."""
+        self._entries.clear()
+
     def discard(self, line_addr):
         """Drop an entry without completing it (squash of the allocator
         with no surviving targets)."""

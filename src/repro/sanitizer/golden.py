@@ -71,6 +71,13 @@ class GoldenMemoryModel:
         image.write = write
         image.write_bytes = write_bytes
 
+    def detach(self):
+        """Restore the image's own write paths (the wrappers close over
+        the image, a cycle that would outlive the run)."""
+        self._attached = False
+        del self.image.write
+        del self.image.write_bytes
+
     def _line_bytes(self, line):
         return self.image.read_bytes(line, self.space.line_bytes)
 

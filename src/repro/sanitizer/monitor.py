@@ -130,6 +130,18 @@ class Sanitizer:
         self._last_sweep = self.kernel.cycle
         return self
 
+    def release(self):
+        """Detach from the system once its run is over (after
+        :meth:`finalize`); the report stays readable."""
+        self.kernel.monitor = None
+        self.hierarchy.monitor = None
+        for core in self.cores:
+            core.monitor = None
+        self.golden.detach()
+        self.system = self.kernel = self.hierarchy = None
+        self.cores = ()
+        self._invisible_ctx = None
+
     # ----------------------------------------------------------- violations
 
     def _now(self):

@@ -137,10 +137,16 @@ class SimKernel:
                 components[index].credit_idle_ticks(sleeper[1])
                 sleeper[1] = 0
 
-    @staticmethod
-    def _skip_tick(component, sleeper):
-        """Skip one tick of a sleeping component: count it for credit."""
-        sleeper[1] += 1
+    def release(self):
+        """Drop the kernel's references into the simulated machine: the
+        registered components, pending events (their callbacks close over
+        components) and the fault hook.  The clock stays readable.  Called
+        by :meth:`repro.system.System.run` once the run is over, so the
+        finished machine is freed by reference counting.
+        """
+        self._components = []
+        self.events = EventQueue()
+        self.faults = None
 
     def run(self, max_cycles=None):
         """Run until every component reports ``done``.
@@ -190,7 +196,7 @@ class SimKernel:
                             not component.wake_requested
                             and self.cycle < sleeper[0]
                         ):
-                            self._skip_tick(component, sleeper)
+                            sleeper[1] += 1  # skipped: credited on wake
                             all_done = False
                             continue
                         del sleeping[index]

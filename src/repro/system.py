@@ -21,7 +21,7 @@ from __future__ import annotations
 from .configs import ProcessorConfig
 from .coherence.hierarchy import CacheHierarchy
 from .cpu.core import Core
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .mem.address import AddressSpace
 from .mem.memimage import MemoryImage
 from .params import SystemParams
@@ -171,6 +171,7 @@ class System:
         self.sanitizer = make_sanitizer(sanitizer)
         if self.sanitizer is not None:
             self.sanitizer.install(self)
+        self._released = False
 
     def _core_warmed_up(self, _core_id):
         """Snapshot counters once every core finished its warmup prefix."""
@@ -190,17 +191,44 @@ class System:
         Raises :class:`~repro.errors.SimTimeoutError` when ``max_cycles``
         (or an installed wall-clock watchdog) trips, and
         :class:`~repro.errors.DeadlockError` on a genuine lack of forward
-        progress.
+        progress.  A System runs once: whether the run returns or raises,
+        it then releases its back-edges (:meth:`_release`), and a second
+        call raises :class:`~repro.errors.SimulationError`.
         """
-        cycles = self.kernel.run(max_cycles=max_cycles)
-        self._harvest_stats()
-        result = RunResult(
-            cycles, self.counters, self.cores, self.hierarchy,
-            warmup_snapshot=self._warmup_snapshot,
-        )
+        if self._released:
+            raise SimulationError(
+                "System.run() called twice; build a new System per run"
+            )
+        try:
+            cycles = self.kernel.run(max_cycles=max_cycles)
+            self._harvest_stats()
+            result = RunResult(
+                cycles, self.counters, self.cores, self.hierarchy,
+                warmup_snapshot=self._warmup_snapshot,
+            )
+            if self.sanitizer is not None:
+                self.sanitizer.finalize(result)
+            return result
+        finally:
+            self._release()
+
+    def _release(self):
+        """Cut every reference cycle the run built, so the machine is freed
+        by reference counting as soon as its last user drops it.
+
+        What stays: the result's counters, the cores' retired state and
+        the hierarchy's cache contents, all reachable from the cores.  The
+        cut edges point back up the graph (kernel -> cores, hierarchy ->
+        cores, engine -> core, callbacks into the core or this System,
+        sanitizer and fault-injector links, pending event closures).
+        """
+        self._released = True
         if self.sanitizer is not None:
-            self.sanitizer.finalize(result)
-        return result
+            self.sanitizer.release()
+        self.kernel.release()
+        self.hierarchy.release()
+        for core in self.cores:
+            core.release()
 
     def _harvest_stats(self):
         counters = self.counters
