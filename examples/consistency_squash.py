@@ -50,12 +50,13 @@ def writer_ops(n_rounds):
 
 def run(scheme):
     params = SystemParams(num_cores=2)
-    context = AttackContext(ProcessorConfig(scheme=scheme), params=params)
-    context.traces[0].feed(reader_ops(60))
-    context.traces[1].feed(writer_ops(60))
-    for core in context.system.cores:
-        core.reopen()
-    context.kernel.run(max_cycles=2_000_000)
+    config = ProcessorConfig(scheme=scheme)
+    with AttackContext(config, params=params) as context:
+        context.traces[0].feed(reader_ops(60))
+        context.traces[1].feed(writer_ops(60))
+        for core in context.system.cores:
+            core.reopen()
+        context.kernel.run(max_cycles=2_000_000)
     counters = context.system.counters
     return {
         "consistency squashes": counters["core.squashes.consistency"],

@@ -74,46 +74,51 @@ def _run_once(prog, secret, watchdog=None, heartbeat=None,
     collide with a wrong-path arm key.
     """
     ops, wrong_paths = prog.build()
-    context = AttackContext(ProcessorConfig(scheme=Scheme.BASE), num_cores=1)
-    if watchdog is not None:
-        context.kernel.watchdog = watchdog
-    if heartbeat is not None:
-        context.kernel.heartbeat = heartbeat
-    setup = prog.setup
-    context.write_memory(
-        setup["secret_addr"], [secret & 0xFF] * setup["secret_size"]
-    )
-    for addr, data in setup["writes"]:
-        context.write_memory(addr, list(data))
-    warm_ops = [
-        MicroOp(OpKind.LOAD, pc=_PC_WARM + 0x10 * i, addr=addr, size=1)
-        for i, addr in enumerate(setup["warm"])
-    ]
-    if warm_ops:
-        context.run_ops(
-            0, warm_ops, max_cycles=context.kernel.cycle + phase_cycles
+    config = ProcessorConfig(scheme=Scheme.BASE)
+    with AttackContext(config, num_cores=1) as context:
+        if watchdog is not None:
+            context.kernel.watchdog = watchdog
+        if heartbeat is not None:
+            context.kernel.heartbeat = heartbeat
+        setup = prog.setup
+        context.write_memory(
+            setup["secret_addr"], [secret & 0xFF] * setup["secret_size"]
         )
-    for addr in setup["flush"]:
-        context.flush(addr)
+        for addr, data in setup["writes"]:
+            context.write_memory(addr, list(data))
+        warm_ops = [
+            MicroOp(OpKind.LOAD, pc=_PC_WARM + 0x10 * i, addr=addr, size=1)
+            for i, addr in enumerate(setup["warm"])
+        ]
+        if warm_ops:
+            context.run_ops(
+                0, warm_ops, max_cycles=context.kernel.cycle + phase_cycles
+            )
+        for addr in setup["flush"]:
+            context.flush(addr)
 
-    fingerprints = {model: {} for model in MODELS}
-    future_judge = ISFuturePolicy()
-    spectre_judge = ISSpectrePolicy()
+        fingerprints = {model: {} for model in MODELS}
+        future_judge = ISFuturePolicy()
+        spectre_judge = ISSpectrePolicy()
 
-    def probe(core, entry, unsafe_speculative):
-        line = entry.lq_entry.line_addr
-        pc = entry.op.pc
-        if entry.is_wrong_path or not future_judge.load_is_safe(core, entry):
-            fingerprints["futuristic"].setdefault(pc, set()).add(line)
-        if not spectre_judge.load_is_safe(core, entry):
-            fingerprints["spectre"].setdefault(pc, set()).add(line)
+        def probe(core, entry, unsafe_speculative):
+            line = entry.lq_entry.line_addr
+            pc = entry.op.pc
+            if (
+                entry.is_wrong_path
+                or not future_judge.load_is_safe(core, entry)
+            ):
+                fingerprints["futuristic"].setdefault(pc, set()).add(line)
+            if not spectre_judge.load_is_safe(core, entry):
+                fingerprints["spectre"].setdefault(pc, set()).add(line)
 
-    for core in context.system.cores:
-        core.load_issue_probe = probe
-    start = context.kernel.cycle
-    context.run_ops(
-        0, ops, wrong_paths, max_cycles=start + phase_cycles
-    )
+        for core in context.system.cores:
+            core.load_issue_probe = probe
+        start = context.kernel.cycle
+        context.run_ops(
+            0, ops, wrong_paths, max_cycles=start + phase_cycles
+        )
+    # The kernel's clock stays readable after the release.
     return fingerprints, context.kernel.cycle
 
 

@@ -13,8 +13,14 @@ from __future__ import annotations
 
 import enum
 
-from ..reliability.faults import DROPPED_MESSAGE_DELAY
 from .topology import MeshTopology
+
+#: A dropped message is modeled as this many cycles of delay — far beyond
+#: any sane per-cell cycle budget, so the watchdog converts it into a
+#: :class:`~repro.errors.SimTimeoutError` rather than a silent wrong result.
+#: Defined here, not in :mod:`repro.reliability.faults` (which re-exports
+#: it), so the simulator never imports the reliability package.
+DROPPED_MESSAGE_DELAY = 10**9
 
 
 class TrafficCategory(enum.Enum):

@@ -54,6 +54,7 @@ from __future__ import annotations
 import random
 
 from ..errors import ConfigError
+from ..network.noc import DROPPED_MESSAGE_DELAY
 
 #: All valid fault site names.
 FAULT_SITES = (
@@ -72,11 +73,6 @@ DEFAULT_EXTRA = {
     "noc.delay": 200,
     "dram.stall": 5_000,
 }
-
-#: A dropped message is modeled as this many cycles of delay — far beyond
-#: any sane per-cell cycle budget, so the watchdog converts it into a
-#: :class:`~repro.errors.SimTimeoutError` rather than a silent wrong result.
-DROPPED_MESSAGE_DELAY = 10**9
 
 
 class FaultSpec:

@@ -31,6 +31,13 @@ retry, quarantine and journal) and the analysis service
   place (``_reap``) writes off the lease of a dead or killed worker, and
   it does so after the replacement worker is spawned, so a caller that
   sees the failure also sees a full pool;
+* **dispatch is event-driven**: ``submit()`` and ``close()`` write one
+  byte to a self-pipe, and the supervision thread waits on that pipe
+  next to the result pipes and the process sentinels, so a queued lease
+  is dispatched, and a closing pool exits, at once.  ``poll_interval``
+  is only the liveness period: the longest the thread sleeps before it
+  re-runs the heartbeat, deadline and RSS checks with nothing to wake
+  it;
 * worker handles are **released eagerly** — pipes and process handles
   are closed the moment a worker is reaped, never left to
   garbage-collector timing (see ``_Worker.release``), because a serving
@@ -178,6 +185,9 @@ class LeasePool:
         self._inflight = {}  # worker_id -> _Lease
         self._queue = deque()
         self._lock = threading.Lock()
+        #: Notified whenever ``_inflight`` empties; ``close`` waits on it.
+        self._drained = threading.Condition(self._lock)
+        self._wake_r = self._wake_w = None  # self-pipe, open while started
         self._thread = None
         self._closing = False
         self._started = False
@@ -191,6 +201,9 @@ class LeasePool:
                 return self
             self._started = True
             self._closing = False
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_r, False)
+            os.set_blocking(self._wake_w, False)
         self._heartbeats = _CONTEXT.Array("d", self.workers, lock=False)
         self._pool = [self._spawn(i) for i in range(self.workers)]
         self._thread = threading.Thread(
@@ -212,25 +225,30 @@ class LeasePool:
                 self._started = False
                 return
             self._closing = True
-        if not kill:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if not self._inflight:
-                        break
-                time.sleep(self.poll_interval)
-        with self._lock:
+            if not kill:
+                self._drained.wait_for(
+                    lambda: not self._inflight, timeout=timeout
+                )
             stranded = list(self._queue)
             self._queue.clear()
             inflight = list(self._inflight.values())
             self._inflight.clear()
-        # Nothing is in flight now, so supervision stops on its next pass.
+            # Nothing is in flight now: wake supervision to stop.
+            self._wake()
+        stopped = True
         if self._thread is not None:
             self._thread.join(timeout=timeout)
+            stopped = not self._thread.is_alive()
             self._thread = None
         with self._lock:
             pool, self._pool = self._pool, []
             self._started = False
+            if stopped:
+                # A thread still wedged past the join keeps its pipe: an
+                # fd closed under it could be reused by another file.
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_r = self._wake_w = None
         for lease in stranded:
             self._fail(lease, PoolClosedError("pool closed before dispatch"))
         for worker in pool:
@@ -286,6 +304,7 @@ class LeasePool:
                 future.set_exception(PoolClosedError("pool is not running"))
                 return future
             self._queue.append(_Lease(request, future, deadline))
+            self._wake()
         return future
 
     def snapshot(self):
@@ -353,10 +372,29 @@ class LeasePool:
             self.stats["leases_completed"] += 1
             lease.future.set_result(payload)
 
+    def _wake(self):
+        """Wake the supervision thread; the caller holds ``_lock``.
+
+        Holding the lock orders the write before ``close`` closes the
+        pipe.  A full pipe already holds a pending wake-up.
+        """
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass
+
+    def _untrack(self, worker_id):
+        """Pop the lease in flight on ``worker_id``; the caller holds
+        ``_lock``.  The last one out wakes a draining ``close``."""
+        lease = self._inflight.pop(worker_id, None)
+        if not self._inflight:
+            self._drained.notify_all()
+        return lease
+
     def _supervise(self):
         while True:
             self._dispatch()
-            self._pump()  # paces the loop (poll_interval wait)
+            self._pump()  # blocks until woken, or for poll_interval
             self._reap()
             self._enforce()
             with self._lock:
@@ -408,19 +446,21 @@ class LeasePool:
                 # Worker died while idle: not the lease's fault — requeue
                 # at the front and let _reap replace the worker.
                 with self._lock:
-                    self._inflight.pop(worker.worker_id, None)
+                    self._untrack(worker.worker_id)
                     lease.worker_id = None
                     self._queue.appendleft(lease)
                 return
 
     def _pump(self):
+        """Wait for a result, a worker death or a wake-up; take results."""
         with self._lock:
             live = [w for w in self._pool if not w.released]
         by_conn = {w.result_conn: w for w in live}
-        sentinels = {w.process.sentinel: w for w in live}
+        sentinels = [w.process.sentinel for w in live]
         try:
             ready = _conn_wait(
-                list(by_conn) + list(sentinels), timeout=self.poll_interval
+                [self._wake_r, *by_conn, *sentinels],
+                timeout=self.poll_interval,
             )
         except OSError:
             return
@@ -428,6 +468,12 @@ class LeasePool:
             worker = by_conn.get(item)
             if worker is not None:
                 self._recv(worker)
+            elif item == self._wake_r:
+                try:
+                    while os.read(self._wake_r, 512):
+                        pass
+                except BlockingIOError:
+                    pass
 
     def _recv(self, worker):
         try:
@@ -437,7 +483,7 @@ class LeasePool:
         except (EOFError, OSError):
             return  # death: _reap attributes the in-flight lease
         with self._lock:
-            lease = self._inflight.pop(worker.worker_id, None)
+            lease = self._untrack(worker.worker_id)
         if lease is not None:
             self._complete(lease, payload)
 
@@ -462,7 +508,7 @@ class LeasePool:
                 _death_detail(worker.process),
             )
             with self._lock:
-                lease = self._inflight.pop(worker.worker_id, None)
+                lease = self._untrack(worker.worker_id)
             self._kill(worker)
             worker.release()
             with self._lock:

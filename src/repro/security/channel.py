@@ -7,6 +7,12 @@ can alternate between running victim/attacker code on the pipeline
 (predictor state persists across phases — mistraining works) and issuing
 the attacker's measurement primitives directly against the live cache
 hierarchy.
+
+A context is used once, as ``with AttackContext(...) as context:``.
+Leaving the block releases the machine (:meth:`System.release
+<repro.system.System.release>`), so a finished attack is freed by
+reference counting, as a finished run is; the context runs nothing
+after that.
 """
 
 from __future__ import annotations
@@ -47,6 +53,25 @@ class AttackContext:
         self.hierarchy = self.system.hierarchy
         self.image = self.system.image
         self.space = self.system.space
+        self._released = False
+
+    # --------------------------------------------------------------- lifetime
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+    def release(self):
+        """Cut the machine's back-edges; safe to call twice."""
+        if not self._released:
+            self._released = True
+            self.system.release()
+
+    def _check_live(self):
+        if self._released:
+            raise SimulationError("AttackContext used after release()")
 
     # ------------------------------------------------------------ memory setup
 
@@ -63,6 +88,7 @@ class AttackContext:
 
     def run_ops(self, core_id, ops, wrong_paths=None, max_cycles=2_000_000):
         """Execute ``ops`` to completion on ``core_id``'s pipeline."""
+        self._check_live()
         self.traces[core_id].feed(ops, wrong_paths)
         self.system.cores[core_id].reopen()
         self.kernel.run(max_cycles=max_cycles)
@@ -71,6 +97,7 @@ class AttackContext:
 
     def flush(self, addr, size=1):
         """clflush every line covering ``[addr, addr+size)``."""
+        self._check_live()
         for line in self.space.lines_touched(addr, size):
             self.hierarchy.flush_line(line)
 
@@ -80,6 +107,7 @@ class AttackContext:
         This is the receiver's measurement primitive; like a real attacker's
         timed load it is a perfectly ordinary cached access.
         """
+        self._check_live()
         outcome = {}
 
         def on_complete(result):

@@ -71,34 +71,34 @@ def run_cross_core_attack(config, secret=37, seed=0, sanitize=None):
     """
     from ..params import SystemParams
 
-    context = AttackContext(
+    with AttackContext(
         config, params=SystemParams(num_cores=2), seed=seed, sanitize=sanitize
-    )
-    context.write_memory(ADDR_SECRET, secret % NUM_VALUES)
-    context.write_memory(ADDR_LIMIT, 10)
+    ) as context:
+        context.write_memory(ADDR_SECRET, secret % NUM_VALUES)
+        context.write_memory(ADDR_LIMIT, 10)
 
-    # Train the victim's bounds check (in-bounds calls).
-    for i in range(24):
-        ops, wrong = _victim_ops(i % 10, in_bounds=True)
+        # Train the victim's bounds check (in-bounds calls).
+        for i in range(24):
+            ops, wrong = _victim_ops(i % 10, in_bounds=True)
+            context.run_ops(0, ops, wrong)
+        # The victim uses its secret architecturally, then the attacker
+        # flushes the transmission array (it is shared memory).
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)]
+        )
+        for value in range(NUM_VALUES):
+            context.flush(ADDR_B + LINE * value)
+        context.flush(ADDR_LIMIT)
+
+        # Out-of-bounds call: the transient pair runs on core 0.
+        ops, wrong = _victim_ops(0, in_bounds=False)
         context.run_ops(0, ops, wrong)
-    # The victim uses its secret architecturally, then the attacker
-    # flushes the transmission array (it is shared memory).
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)]
-    )
-    for value in range(NUM_VALUES):
-        context.flush(ADDR_B + LINE * value)
-    context.flush(ADDR_LIMIT)
 
-    # Out-of-bounds call: the transient pair runs on core 0.
-    ops, wrong = _victim_ops(0, in_bounds=False)
-    context.run_ops(0, ops, wrong)
-
-    # The receiver probes from CORE 1: anything on chip answers fast.
-    latencies = [
-        context.probe_latency(1, ADDR_B + LINE * value)
-        for value in range(NUM_VALUES)
-    ]
+        # The receiver probes from CORE 1: anything on chip answers fast.
+        latencies = [
+            context.probe_latency(1, ADDR_B + LINE * value)
+            for value in range(NUM_VALUES)
+        ]
     hits = [v for v in range(NUM_VALUES) if latencies[v] <= ON_CHIP_THRESHOLD]
     recovered = hits[0] if len(hits) == 1 else None
     return latencies, recovered

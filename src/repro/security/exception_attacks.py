@@ -84,22 +84,24 @@ def run_exception_attack(config, variant="meltdown", secret=199, seed=0,
             f"unknown variant {variant!r}; choose from {sorted(VARIANTS)}"
         )
     secret_addr, array_base, _desc = VARIANTS[variant]
-    context = AttackContext(config, num_cores=1, seed=seed, sanitize=sanitize)
-    context.write_memory(secret_addr, secret & 0xFF)
-    # The privileged state is warm (the victim context used it recently) —
-    # the precondition every one of these attacks shares; for L1TF it is
-    # the defining requirement.
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=secret_addr, size=1)]
-    )
-    receiver = FlushReloadReceiver(
-        context, 0, [array_base + LINE * v for v in range(NUM_VALUES)]
-    )
-    receiver.flush()
-    context.flush(ADDR_DELAY)
-    ops, wrong = _attack_ops(secret_addr, array_base)
-    context.run_ops(0, ops, wrong)
-    latencies = receiver.reload()
+    with AttackContext(
+        config, num_cores=1, seed=seed, sanitize=sanitize
+    ) as context:
+        context.write_memory(secret_addr, secret & 0xFF)
+        # The privileged state is warm (the victim context used it
+        # recently) — the precondition every one of these attacks shares;
+        # for L1TF it is the defining requirement.
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=secret_addr, size=1)]
+        )
+        receiver = FlushReloadReceiver(
+            context, 0, [array_base + LINE * v for v in range(NUM_VALUES)]
+        )
+        receiver.flush()
+        context.flush(ADDR_DELAY)
+        ops, wrong = _attack_ops(secret_addr, array_base)
+        context.run_ops(0, ops, wrong)
+        latencies = receiver.reload()
     hits = receiver.hits(latencies)
     recovered = hits[0] if len(hits) == 1 else None
     return latencies, recovered

@@ -64,22 +64,25 @@ def specflow_program():
 
 def run_meltdown_style_attack(config, secret=199, seed=0, sanitize=None):
     """Run the attack; returns ``(latencies, recovered_value)``."""
-    context = AttackContext(config, num_cores=1, seed=seed, sanitize=sanitize)
-    context.write_memory(ADDR_SECRET, secret & 0xFF)
-    # The kernel recently used its data, so the privileged line is warm —
-    # the standard Meltdown setting; the transient access then completes
-    # well inside the fault's shadow.
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=ADDR_SECRET, size=1)]
-    )
-    receiver = FlushReloadReceiver(
-        context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
-    )
-    receiver.flush()
-    context.flush(ADDR_DELAY)  # widen the transient window past the fault
-    ops, wrong = _attack_ops()
-    context.run_ops(0, ops, wrong)
-    latencies = receiver.reload()
+    with AttackContext(
+        config, num_cores=1, seed=seed, sanitize=sanitize
+    ) as context:
+        context.write_memory(ADDR_SECRET, secret & 0xFF)
+        # The kernel recently used its data, so the privileged line is
+        # warm — the standard Meltdown setting; the transient access then
+        # completes well inside the fault's shadow.
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=ADDR_SECRET, size=1)]
+        )
+        receiver = FlushReloadReceiver(
+            context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
+        )
+        receiver.flush()
+        # Widen the transient window past the fault.
+        context.flush(ADDR_DELAY)
+        ops, wrong = _attack_ops()
+        context.run_ops(0, ops, wrong)
+        latencies = receiver.reload()
     hits = receiver.hits(latencies)
     recovered = hits[0] if len(hits) == 1 else None
     return latencies, recovered

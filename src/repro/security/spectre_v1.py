@@ -158,18 +158,20 @@ def run_spectre_v1(config, secret=84, trials=3, seed=0, sanitize=None):
     across trials — the y-values of Figure 5.
     """
     attack = SpectreV1Attack(config, seed=seed, sanitize=sanitize)
-    attack.plant_secret(secret)
-    attack.train()
     all_latencies = []
-    for trial in range(trials):
-        if trial:
-            # The out-of-bounds call taught the predictor not-taken;
-            # re-poison it before the next trial, like a real attacker.
-            # It takes > global-history-bits all-taken executions for the
-            # attack-time history pattern to be a trained index again.
-            attack.train(rounds=20)
-        attack.victim_uses_secret()
-        all_latencies.append(attack.attack_once())
+    with attack.context:
+        attack.plant_secret(secret)
+        attack.train()
+        for trial in range(trials):
+            if trial:
+                # The out-of-bounds call taught the predictor not-taken;
+                # re-poison it before the next trial, like a real
+                # attacker.  It takes > global-history-bits all-taken
+                # executions for the attack-time history pattern to be a
+                # trained index again.
+                attack.train(rounds=20)
+            attack.victim_uses_secret()
+            all_latencies.append(attack.attack_once())
     medians = [
         sorted(lat[v] for lat in all_latencies)[len(all_latencies) // 2]
         for v in range(NUM_VALUES)

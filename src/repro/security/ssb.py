@@ -70,20 +70,25 @@ def specflow_program():
 
 def run_ssb_attack(config, secret=113, seed=0, sanitize=None):
     """Run the SSB attack; returns ``(latencies, recovered_value)``."""
-    context = AttackContext(config, num_cores=1, seed=seed, sanitize=sanitize)
-    context.write_memory(ADDR_P, secret & 0xFF)  # stale secret in the buffer
-    context.write_memory(ADDR_PTR, ADDR_P.to_bytes(8, "little"))
-    # The buffer was just in use (that is why it holds a stale secret), so
-    # its line is cached: the stale read performs immediately, well before
-    # the slow-to-resolve store detects the alias.
-    context.run_ops(0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=ADDR_P, size=1)])
-    receiver = FlushReloadReceiver(
-        context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
-    )
-    receiver.flush()
-    context.flush(ADDR_PTR)  # make the store's address resolve slowly
-    context.run_ops(0, _attack_ops())
-    latencies = receiver.reload()
+    with AttackContext(
+        config, num_cores=1, seed=seed, sanitize=sanitize
+    ) as context:
+        # The stale secret in the buffer:
+        context.write_memory(ADDR_P, secret & 0xFF)
+        context.write_memory(ADDR_PTR, ADDR_P.to_bytes(8, "little"))
+        # The buffer was just in use (that is why it holds a stale secret),
+        # so its line is cached: the stale read performs immediately, well
+        # before the slow-to-resolve store detects the alias.
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=ADDR_P, size=1)]
+        )
+        receiver = FlushReloadReceiver(
+            context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
+        )
+        receiver.flush()
+        context.flush(ADDR_PTR)  # make the store's address resolve slowly
+        context.run_ops(0, _attack_ops())
+        latencies = receiver.reload()
     hits = receiver.hits(latencies)
     # Architecturally the load re-executes after the alias squash and reads
     # the sanitized value 0, so B[0] is legitimately cached; the *leak* is

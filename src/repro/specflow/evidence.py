@@ -64,12 +64,13 @@ def _run_spectre_v1(config, secret):
 
     isa.reset_uids()
     attack = SpectreV1Attack(config)
-    attack.plant_secret(secret)
-    attack.train()
-    attack.victim_uses_secret()
-    fingerprints = {}
-    _install_probe(attack.context, fingerprints)
-    attack.attack_once()
+    with attack.context:
+        attack.plant_secret(secret)
+        attack.train()
+        attack.victim_uses_secret()
+        fingerprints = {}
+        _install_probe(attack.context, fingerprints)
+        attack.attack_once()
     return fingerprints
 
 
@@ -77,16 +78,16 @@ def _run_meltdown_style(config, secret):
     from ..security import meltdown_style as m
 
     isa.reset_uids()
-    context = AttackContext(config, num_cores=1)
-    context.write_memory(m.ADDR_SECRET, secret & 0xFF)
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=m.ADDR_SECRET, size=1)]
-    )
-    context.flush(m.ADDR_DELAY)
-    fingerprints = {}
-    _install_probe(context, fingerprints)
-    ops, wrong = m._attack_ops()
-    context.run_ops(0, ops, wrong)
+    with AttackContext(config, num_cores=1) as context:
+        context.write_memory(m.ADDR_SECRET, secret & 0xFF)
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=m.ADDR_SECRET, size=1)]
+        )
+        context.flush(m.ADDR_DELAY)
+        fingerprints = {}
+        _install_probe(context, fingerprints)
+        ops, wrong = m._attack_ops()
+        context.run_ops(0, ops, wrong)
     return fingerprints
 
 
@@ -94,16 +95,16 @@ def _run_ssb(config, secret):
     from ..security import ssb as m
 
     isa.reset_uids()
-    context = AttackContext(config, num_cores=1)
-    context.write_memory(m.ADDR_P, secret & 0xFF)
-    context.write_memory(m.ADDR_PTR, m.ADDR_P.to_bytes(8, "little"))
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=m.ADDR_P, size=1)]
-    )
-    context.flush(m.ADDR_PTR)
-    fingerprints = {}
-    _install_probe(context, fingerprints)
-    context.run_ops(0, m._attack_ops())
+    with AttackContext(config, num_cores=1) as context:
+        context.write_memory(m.ADDR_P, secret & 0xFF)
+        context.write_memory(m.ADDR_PTR, m.ADDR_P.to_bytes(8, "little"))
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=m.ADDR_P, size=1)]
+        )
+        context.flush(m.ADDR_PTR)
+        fingerprints = {}
+        _install_probe(context, fingerprints)
+        context.run_ops(0, m._attack_ops())
     return fingerprints
 
 
@@ -112,22 +113,22 @@ def _run_cross_core(config, secret):
     from ..security import cross_core as m
 
     isa.reset_uids()
-    context = AttackContext(config, params=SystemParams(num_cores=2))
-    context.write_memory(m.ADDR_SECRET, secret % m.NUM_VALUES)
-    context.write_memory(m.ADDR_LIMIT, 10)
-    for i in range(24):
-        ops, wrong = m._victim_ops(i % 10, in_bounds=True)
+    with AttackContext(config, params=SystemParams(num_cores=2)) as context:
+        context.write_memory(m.ADDR_SECRET, secret % m.NUM_VALUES)
+        context.write_memory(m.ADDR_LIMIT, 10)
+        for i in range(24):
+            ops, wrong = m._victim_ops(i % 10, in_bounds=True)
+            context.run_ops(0, ops, wrong)
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=m.ADDR_SECRET, size=1)]
+        )
+        for value in range(m.NUM_VALUES):
+            context.flush(m.ADDR_B + m.LINE * value)
+        context.flush(m.ADDR_LIMIT)
+        fingerprints = {}
+        _install_probe(context, fingerprints)
+        ops, wrong = m._victim_ops(0, in_bounds=False)
         context.run_ops(0, ops, wrong)
-    context.run_ops(
-        0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=m.ADDR_SECRET, size=1)]
-    )
-    for value in range(m.NUM_VALUES):
-        context.flush(m.ADDR_B + m.LINE * value)
-    context.flush(m.ADDR_LIMIT)
-    fingerprints = {}
-    _install_probe(context, fingerprints)
-    ops, wrong = m._victim_ops(0, in_bounds=False)
-    context.run_ops(0, ops, wrong)
     return fingerprints
 
 
@@ -137,16 +138,16 @@ def _make_exception_runner(variant):
 
         isa.reset_uids()
         secret_addr, array_base, _desc = m.VARIANTS[variant]
-        context = AttackContext(config, num_cores=1)
-        context.write_memory(secret_addr, secret & 0xFF)
-        context.run_ops(
-            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=secret_addr, size=1)]
-        )
-        context.flush(m.ADDR_DELAY)
-        fingerprints = {}
-        _install_probe(context, fingerprints)
-        ops, wrong = m._attack_ops(secret_addr, array_base)
-        context.run_ops(0, ops, wrong)
+        with AttackContext(config, num_cores=1) as context:
+            context.write_memory(secret_addr, secret & 0xFF)
+            context.run_ops(
+                0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=secret_addr, size=1)]
+            )
+            context.flush(m.ADDR_DELAY)
+            fingerprints = {}
+            _install_probe(context, fingerprints)
+            ops, wrong = m._attack_ops(secret_addr, array_base)
+            context.run_ops(0, ops, wrong)
         return fingerprints
 
     return run
@@ -165,23 +166,25 @@ def _run_setup_program(prog):
     def run(config, secret):
         setup = prog.setup
         ops, wrong_paths = prog.build()
-        context = AttackContext(config, num_cores=1)
-        base = setup["secret_addr"]
-        for off in range(setup["secret_size"]):
-            context.write_memory(base + off, secret & 0xFF)
-        for addr, data in setup["writes"]:
-            context.write_memory(addr, bytes(data))
-        warm_ops = [
-            MicroOp(OpKind.LOAD, pc=_PC_SETUP + 0x10 * i, addr=addr, size=1)
-            for i, addr in enumerate(setup["warm"])
-        ]
-        if warm_ops:
-            context.run_ops(0, warm_ops)
-        for addr in setup["flush"]:
-            context.flush(addr)
-        fingerprints = {}
-        _install_probe(context, fingerprints)
-        context.run_ops(0, ops, wrong_paths)
+        with AttackContext(config, num_cores=1) as context:
+            base = setup["secret_addr"]
+            for off in range(setup["secret_size"]):
+                context.write_memory(base + off, secret & 0xFF)
+            for addr, data in setup["writes"]:
+                context.write_memory(addr, bytes(data))
+            warm_ops = [
+                MicroOp(
+                    OpKind.LOAD, pc=_PC_SETUP + 0x10 * i, addr=addr, size=1
+                )
+                for i, addr in enumerate(setup["warm"])
+            ]
+            if warm_ops:
+                context.run_ops(0, warm_ops)
+            for addr in setup["flush"]:
+                context.flush(addr)
+            fingerprints = {}
+            _install_probe(context, fingerprints)
+            context.run_ops(0, ops, wrong_paths)
         return fingerprints
 
     return run

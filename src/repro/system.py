@@ -192,7 +192,7 @@ class System:
         (or an installed wall-clock watchdog) trips, and
         :class:`~repro.errors.DeadlockError` on a genuine lack of forward
         progress.  A System runs once: whether the run returns or raises,
-        it then releases its back-edges (:meth:`_release`), and a second
+        it then releases its back-edges (:meth:`release`), and a second
         call raises :class:`~repro.errors.SimulationError`.
         """
         if self._released:
@@ -210,9 +210,9 @@ class System:
                 self.sanitizer.finalize(result)
             return result
         finally:
-            self._release()
+            self.release()
 
-    def _release(self):
+    def release(self):
         """Cut every reference cycle the run built, so the machine is freed
         by reference counting as soon as its last user drops it.
 
@@ -221,6 +221,8 @@ class System:
         cut edges point back up the graph (kernel -> cores, hierarchy ->
         cores, engine -> core, callbacks into the core or this System,
         sanitizer and fault-injector links, pending event closures).
+        :class:`~repro.security.channel.AttackContext`, which drives the
+        kernel itself, calls this once its attack is over.
         """
         self._released = True
         if self.sanitizer is not None:

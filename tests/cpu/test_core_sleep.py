@@ -14,12 +14,19 @@ normal one.
 import pytest
 
 from repro.configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
+from repro.cpu.isa import MicroOp, OpKind
+from repro.params import SystemParams
 from repro.security import (
     VARIANTS,
+    channel,
+    cross_core,
+    exception_attacks,
     run_cross_core_attack,
     run_exception_attack,
     run_spectre_v1,
     run_ssb_attack,
+    spectre_v1,
+    ssb,
 )
 from repro.sim.kernel import SimKernel
 
@@ -133,10 +140,61 @@ ATTACKS = {
 }
 
 
+_CORUNNER_BASE = 0x0900_0000
+
+
+class _CoRunnerContext(channel.AttackContext):
+    """An attack machine with one more core, which runs a short burst of
+    ALU ops and cache-missing loads alongside every phase.
+
+    Alone, an attack core that waits on a miss is never skipped: nothing
+    else ticks, so the kernel jumps straight to the fill.  The co-runner
+    keeps the kernel stepping while the attack's cores sleep, and sleeps
+    on its own misses while they work.
+    """
+
+    ALU_OPS, LOADS = 32, 4
+
+    def __init__(self, config, params=None, num_cores=1, seed=0,
+                 sanitize=None):
+        if params is None:
+            params = (
+                SystemParams.for_spec() if num_cores == 1
+                else SystemParams(num_cores=num_cores)
+            )
+        self.corunner = params.num_cores
+        self._pc = 0x4_0000
+        super().__init__(
+            config, params=params.replace(num_cores=params.num_cores + 1),
+            seed=seed, sanitize=sanitize,
+        )
+
+    def _next_op(self, kind, **fields):
+        self._pc += 4
+        return MicroOp(kind, pc=self._pc, **fields)
+
+    def run_ops(self, core_id, ops, wrong_paths=None, max_cycles=2_000_000):
+        burst = [self._next_op(OpKind.ALU) for _ in range(self.ALU_OPS)]
+        burst += [
+            self._next_op(
+                OpKind.LOAD, addr=_CORUNNER_BASE + 16 * self._pc, size=8
+            )
+            for _ in range(self.LOADS)
+        ]
+        self.traces[self.corunner].feed(burst)
+        self.system.cores[self.corunner].reopen()
+        super().run_ops(core_id, ops, wrong_paths, max_cycles)
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
 @pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_attack_programs_shadow_ticks_are_idle(attack, scheme, monkeypatch):
+    for module in (spectre_v1, ssb, cross_core, exception_attacks):
+        monkeypatch.setattr(module, "AttackContext", _CoRunnerContext)
     config = ProcessorConfig(scheme=scheme)
     normal = ATTACKS[attack](config)
-    _shadow_kernel(monkeypatch, [])
+    shadowed = []
+    _shadow_kernel(monkeypatch, shadowed)
     assert ATTACKS[attack](config) == normal
+    # The attack's own core (core 0 in every PoC) really sleeps.
+    assert shadowed.count(0) > 0, shadowed

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -76,6 +77,11 @@ def _always_kill(app, config, seed=0, **kwargs):
 
 def _stall(app, config, seed=0, **kwargs):
     time.sleep(30)
+
+
+def _slow_ok(app, config, seed=0, **kwargs):
+    time.sleep(0.3)
+    return _FakeResult(seed)
 
 
 @pytest.fixture
@@ -271,6 +277,102 @@ class TestFdHygiene:
         after = _open_fds()
         assert after <= before + 2, (
             f"fd table grew from {before} to {after} across 20 crashes"
+        )
+
+
+class TestDispatchLatency:
+    """The supervision thread wakes on ``submit`` and ``close``.
+
+    Every case runs with a 5 s ``poll_interval``: a lease or a close that
+    waited out the poll would take seconds, not milliseconds.
+    """
+
+    POLL = 5.0
+
+    def test_lease_on_an_idle_pool_dispatches_at_once(
+        self, pool, monkeypatch
+    ):
+        monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
+        p = pool(workers=1, poll_interval=self.POLL)
+        assert p.submit(_cell("mcf"), seed=1).result(timeout=30).status == "ok"
+        # The supervision thread is now back in its wait, with nothing
+        # queued: the next lease must wake it.
+        start = time.monotonic()
+        result = p.submit(_cell("mcf"), seed=2).result(timeout=30)
+        elapsed = time.monotonic() - start
+        assert result.status == "ok"
+        assert elapsed < 1.0, f"idle pool took {elapsed:.2f}s to serve a lease"
+
+    def test_close_of_an_idle_pool_is_prompt(self):
+        p = LeasePool(workers=1, poll_interval=self.POLL).start()
+        time.sleep(0.1)  # let supervision settle into its wait
+        start = time.monotonic()
+        p.close()
+        elapsed = time.monotonic() - start
+        assert elapsed < 1.0, f"closing an idle pool took {elapsed:.2f}s"
+
+    def test_close_waits_for_the_lease_in_flight(self, monkeypatch):
+        monkeypatch.setattr(repro.runner, "run_spec", _slow_ok)
+        p = LeasePool(workers=1, poll_interval=self.POLL).start()
+        lease = p.submit(_cell("mcf"), seed=3)
+        deadline = time.monotonic() + 10
+        while p.snapshot()["inflight"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        p.close()
+        assert lease.result(timeout=0).metrics["cycles"] == 1003
+
+    def test_concurrent_submitters_all_resolve(self, pool, monkeypatch):
+        """More workers than cores, four submitting threads and a short
+        switch interval: every lease resolves to its own result."""
+        monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
+        p = pool(workers=3, poll_interval=self.POLL)
+        futures = {}
+
+        def submitter(base):
+            for seed in range(base, base + 25):
+                futures[seed] = p.submit(_cell("mcf"), seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(base,))
+                for base in (0, 100, 200, 300)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        cycles = {
+            seed: future.result(timeout=60).metrics["cycles"]
+            for seed, future in futures.items()
+        }
+        assert cycles == {seed: 1000 + seed for seed in futures}
+        assert p.stats["leases_completed"] == 100
+
+    def test_idle_pool_does_not_spin(self, pool, monkeypatch):
+        monkeypatch.setattr(repro.runner, "run_spec", _fake_ok)
+        p = pool(workers=1, poll_interval=self.POLL)
+        p.submit(_cell("mcf")).result(timeout=30)  # the pipe has been woken
+        before = time.process_time()
+        time.sleep(2.0)
+        used = time.process_time() - before
+        assert used < 0.1, f"idle pool used {used:.3f}s of CPU in 2 s"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_start_close_cycles_leave_no_fds(self):
+        # Warm-up cycle: the first pool maps the shared-memory arena the
+        # heartbeat array lives in, which later pools reuse.
+        LeasePool(workers=1, poll_interval=self.POLL).start().close()
+        before = _open_fds()
+        for _ in range(20):
+            LeasePool(workers=1, poll_interval=self.POLL).start().close()
+        after = _open_fds()
+        assert after == before, (
+            f"fd table went from {before} to {after} over 20 start/close"
         )
 
 

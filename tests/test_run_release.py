@@ -6,11 +6,17 @@ once instead of leaving cyclic garbage for a later full collection.  Each
 case below runs with the collector disabled, drops what the run returned
 (or the exception it raised) and asserts that a collection then finds no
 unreachable object.  A new component that adds a back-edge fails here
-until :meth:`repro.system.System._release` cuts it.
+until :meth:`repro.system.System.release` cuts it.
 
 The release must not change what a result answers: the second half reads
 every :class:`~repro.system.RunResult` accessor of a released result and
 compares it with the same cell run without the release.
+
+The attack PoCs, the specflow evidence harness and the fuzz harness
+drive the kernel themselves through an
+:class:`~repro.security.channel.AttackContext`; leaving its ``with``
+block releases the machine the same way, and the ``poc-*`` cases hold
+them to the same zero.
 """
 
 import gc
@@ -22,9 +28,18 @@ from repro.configs import ConsistencyModel
 from repro.cpu.isa import MicroOp, OpKind
 from repro.cpu.trace import ProgramTrace
 from repro.errors import DeadlockError, SimTimeoutError, SimulationError
+from repro.fuzz.generator import build_program
+from repro.fuzz.harness import differential_check
 from repro.params import SystemParams
 from repro.reliability.faults import FaultInjector, FaultSchedule
 from repro.runner import run_parsec, run_spec
+from repro.security.channel import AttackContext
+from repro.security.cross_core import run_cross_core_attack
+from repro.security.exception_attacks import run_exception_attack
+from repro.security.meltdown_style import run_meltdown_style_attack
+from repro.security.spectre_v1 import run_spectre_v1
+from repro.security.ssb import run_ssb_attack
+from repro.specflow.evidence import gather_evidence
 
 from .golden.matrix import Cell, params_of
 
@@ -105,6 +120,26 @@ CASES = {
     "max-cycles-timeout": _expect(SimTimeoutError, lambda: _spec(
         Scheme.IS_FUTURE, max_cycles=2_000
     )),
+    "poc-spectre-v1-IS-Fu": lambda: run_spectre_v1(
+        _config(Scheme.IS_FUTURE)
+    ),
+    "poc-spectre-v1-Base-strict": lambda: run_spectre_v1(
+        _config(Scheme.BASE), trials=1, sanitize="strict"
+    ),
+    "poc-meltdown-style-IS-Fu": lambda: run_meltdown_style_attack(
+        _config(Scheme.IS_FUTURE)
+    ),
+    "poc-ssb-IS-Sp": lambda: run_ssb_attack(_config(Scheme.IS_SPECTRE)),
+    "poc-cross-core-IS-Fu": lambda: run_cross_core_attack(
+        _config(Scheme.IS_FUTURE)
+    ),
+    "poc-exception-l1tf-Base": lambda: run_exception_attack(
+        _config(Scheme.BASE), variant="l1tf"
+    ),
+    "poc-specflow-evidence": lambda: gather_evidence(
+        programs=["spectre_v1", "ssb"]
+    ),
+    "poc-fuzz-differential": lambda: differential_check(build_program(0, 0)),
 }
 
 
@@ -164,7 +199,7 @@ def test_released_result_reads_as_before(case, monkeypatch):
     released = READ_CASES[case]()
     assert released.hierarchy._cores == [None] * len(released.cores)
     with monkeypatch.context() as patch:
-        patch.setattr(System, "_release", lambda system: None)
+        patch.setattr(System, "release", lambda system: None)
         kept = READ_CASES[case]()
     assert kept.hierarchy._cores == list(kept.cores)
     assert _readings(released) == _readings(kept)
@@ -179,6 +214,17 @@ def test_second_run_of_a_released_system_raises():
     system.run()
     with pytest.raises(SimulationError, match="twice"):
         system.run()
+
+
+def test_released_attack_context_refuses_to_run():
+    with AttackContext(_config(Scheme.BASE)) as context:
+        context.run_ops(0, [MicroOp(OpKind.ALU, pc=0x100)])
+    assert context.system.hierarchy._cores == [None]
+    context.release()  # a second release is a no-op
+    with pytest.raises(SimulationError, match="after release"):
+        context.run_ops(0, [MicroOp(OpKind.ALU, pc=0x104)])
+    with pytest.raises(SimulationError, match="after release"):
+        context.probe_latency(0, 0x1000)
 
 
 def test_system_releases_after_a_failed_run_too():
