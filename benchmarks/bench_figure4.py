@@ -8,14 +8,14 @@ IS-Fu; IS overheads stay within small multiples of the baseline.
 from conftest import run_once
 
 from repro.configs import Scheme
-from repro.experiments import figure4
+from repro.experiments import figures
 
 
 def test_figure4_spec_execution_time(benchmark, spec_budget):
     apps, instructions = spec_budget
     result = run_once(
         benchmark,
-        figure4.run,
+        figures.figure4,
         apps=apps,
         instructions=instructions,
         include_rc=True,

@@ -3,14 +3,14 @@ SpecLoad / Expose+Validate breakdown."""
 
 from conftest import run_once
 
-from repro.experiments import figure6
+from repro.experiments import figures
 
 
 def test_figure6_spec_traffic(benchmark, spec_budget):
     apps, instructions = spec_budget
     result = run_once(
         benchmark,
-        figure6.run,
+        figures.figure6,
         apps=apps,
         instructions=instructions,
         include_rc=False,

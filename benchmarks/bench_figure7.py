@@ -2,14 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import figure7
+from repro.experiments import figures
 
 
 def test_figure7_parsec_execution_time(benchmark, parsec_budget):
     apps, instructions = parsec_budget
     result = run_once(
         benchmark,
-        figure7.run,
+        figures.figure7,
         apps=apps,
         instructions=instructions,
         include_rc=False,

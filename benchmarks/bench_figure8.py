@@ -2,14 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import figure8
+from repro.experiments import figures
 
 
 def test_figure8_parsec_traffic(benchmark, parsec_budget):
     apps, instructions = parsec_budget
     result = run_once(
         benchmark,
-        figure8.run,
+        figures.figure8,
         apps=apps,
         instructions=instructions,
         include_rc=False,

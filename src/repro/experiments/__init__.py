@@ -16,6 +16,9 @@ ablations   Design-choice ablations (LLC-SB, V->E optimization, ...)
 selective   specflow-guided selective protection (IS-Sel) vs full schemes
 ==========  ==========================================================
 
+Figures 4 and 6 are two views of one SPEC cell matrix, and Figures 7 and
+8 of one PARSEC matrix (:mod:`repro.experiments.figures`).
+
 Run from the command line::
 
     python -m repro.experiments figure4 --instructions 6000
@@ -23,15 +26,15 @@ Run from the command line::
 """
 
 from .common import ExperimentResult
-from . import ablations, figure4, figure5, figure6, figure7, figure8
-from . import report, selective, sweep, table6, table7, tables45, variance
+from . import ablations, figure5, figures, report, selective, sweep
+from . import table6, table7, tables45, variance
 
 ALL_EXPERIMENTS = {
-    "figure4": figure4.run,
+    "figure4": figures.figure4,
     "figure5": figure5.run,
-    "figure6": figure6.run,
-    "figure7": figure7.run,
-    "figure8": figure8.run,
+    "figure6": figures.figure6,
+    "figure7": figures.figure7,
+    "figure8": figures.figure8,
     "table6": table6.run,
     "table7": table7.run,
     "tables45": tables45.run,

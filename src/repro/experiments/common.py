@@ -1,12 +1,13 @@
-"""Shared experiment plumbing: sweeps, normalization, result records.
+"""Shared experiment plumbing: cell runs, normalization, result records.
 
-Fault tolerance: when a :class:`~repro.reliability.RunEngine` is passed to
-:func:`sweep`, each app x scheme cell runs as an isolated unit of work with
-watchdog/retry/journal semantics, and a cell that exhausts its retries
-yields a :class:`~repro.reliability.CellFailure` instead of raising.  The
-normalization helpers then propagate ``None`` for anything touching a
-failed cell, and the figure/table modules render those as the
-:data:`GAP` marker rather than aborting the experiment.
+Fault tolerance: every experiment cell runs through
+:func:`run_cells`, as an isolated unit of work of a
+:class:`~repro.reliability.RunEngine` (the caller's, with its
+watchdog/retry/journal semantics, or an in-process one), and a cell that
+exhausts its attempts yields a :class:`~repro.reliability.CellFailure`
+instead of raising.  The normalization helpers then propagate ``None`` for
+anything touching a failed cell, and the figure/table modules render those
+as the :data:`GAP` marker rather than aborting the experiment.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from ..configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
-from ..reliability import CellSpec, is_ok
-from ..runner import run_parsec, run_spec
+from ..configs import Scheme
+from ..reliability import RetryPolicy, RunEngine, is_ok
 from ..stats.report import format_grouped_bars, format_table
 from ..workloads import parsec_names, spec_names
 
@@ -92,8 +92,7 @@ class ExperimentResult:
                                    width=width)
 
     def to_dict(self):
-        """JSON-serializable record (extras are dropped — they hold live
-        RunResult objects)."""
+        """JSON-serializable record (extras are dropped)."""
         return {
             "experiment_id": self.experiment_id,
             "title": self.title,
@@ -119,68 +118,19 @@ class ExperimentResult:
         )
 
 
-def sweep(
-    suite,
-    apps,
-    consistency=ConsistencyModel.TSO,
-    instructions=None,
-    seed=0,
-    schemes=ALL_SCHEMES,
-    engine=None,
-    sanitize=None,
-):
-    """Run each app under each scheme; returns {app: {scheme: RunResult}}.
+def run_cells(specs, engine=None):
+    """Run cell specs through ``engine``; results in spec order.
 
-    With an ``engine`` (:class:`~repro.reliability.RunEngine`), each cell
-    gets watchdog/retry/journal treatment and a cell that still fails maps
-    to a :class:`~repro.reliability.CellFailure` value instead of raising;
-    on ``--resume`` the engine serves completed cells from the journal
-    without re-simulating.  Without an engine, behavior is the classic
-    fail-fast direct run.
-
-    ``sanitize`` turns on the runtime invariant sanitizer for every cell:
-    ``"strict"`` raises at the first violation (with an engine, the cell
-    fails without retry), ``"record"`` lets cells finish but lands their
-    violation report in the journal and fails the cell.
+    A failed cell yields its :class:`~repro.reliability.CellFailure`.
+    Without an engine the cells run in-process with no journal and no
+    retry, so no seed is ever bumped.
     """
-    runner = run_spec if suite == "spec" else run_parsec
     if engine is None:
-        results = {}
-        for app in apps:
-            per_scheme = {}
-            for scheme in schemes:
-                config = ProcessorConfig(
-                    scheme=scheme, consistency=consistency
-                )
-                kwargs = (
-                    {} if instructions is None
-                    else {"instructions": instructions}
-                )
-                if sanitize is not None:
-                    kwargs["sanitize"] = sanitize
-                per_scheme[scheme] = runner(app, config, seed=seed, **kwargs)
-            results[app] = per_scheme
-        return results
-
-    # Engine path: describe the whole sweep as pickle-safe CellSpecs and
-    # dispatch the batch in one call, so ``--jobs N`` can fan the cells out
-    # over the supervisor's worker pool.  Cell order (and thus dispatch
-    # order, seeds, and journal contents) is identical to the serial loop.
-    specs = [
-        CellSpec(
-            suite, app, scheme, consistency,
-            seed=seed, instructions=instructions, sanitize=sanitize,
-        )
-        for app in apps
-        for scheme in schemes
+        engine = RunEngine(policy=RetryPolicy(max_attempts=1))
+    return [
+        outcome.result if outcome.ok else outcome.failure()
+        for outcome in engine.run_specs(specs)
     ]
-    outcomes = engine.run_specs(specs)
-    results = {app: {} for app in apps}
-    for spec, outcome in zip(specs, outcomes):
-        results[spec.app][spec.scheme] = (
-            outcome.result if outcome.ok else outcome.failure()
-        )
-    return results
 
 
 def default_apps(suite, apps=None, quick=False):
@@ -236,33 +186,3 @@ def mean_std(values):
         return mean, 0.0
     variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, math.sqrt(variance)
-
-
-def multi_seed_overhead(
-    app,
-    scheme,
-    suite="spec",
-    consistency=ConsistencyModel.TSO,
-    instructions=None,
-    seeds=(0, 1, 2),
-):
-    """Normalized execution time of ``scheme`` over Base across seeds.
-
-    Our instruction windows are short, so the synthetic-workload seed is a
-    real source of variance; this gives a mean +/- std for one bar of
-    Figure 4/7.
-    """
-    runner = run_spec if suite == "spec" else run_parsec
-    overheads = []
-    for seed in seeds:
-        kwargs = {} if instructions is None else {"instructions": instructions}
-        base = runner(
-            app, ProcessorConfig(scheme=Scheme.BASE, consistency=consistency),
-            seed=seed, **kwargs,
-        )
-        other = runner(
-            app, ProcessorConfig(scheme=scheme, consistency=consistency),
-            seed=seed, **kwargs,
-        )
-        overheads.append(other.cycles / max(base.cycles, 1))
-    return mean_std(overheads)

@@ -11,10 +11,17 @@ Per application (and suite average), for IS-Spectre and IS-Future:
 
 from __future__ import annotations
 
-from ..configs import ConsistencyModel, ProcessorConfig, Scheme
+from ..configs import ConsistencyModel, Scheme
 from ..reliability import CellSpec, is_ok
-from ..runner import run_parsec, run_spec
-from .common import GAP, ExperimentResult, arithmetic_mean, default_apps
+from .common import (
+    GAP,
+    ExperimentResult,
+    arithmetic_mean,
+    default_apps,
+    run_cells,
+)
+
+_SCHEMES = (Scheme.IS_SPECTRE, Scheme.IS_FUTURE)
 
 _SQUASH_REASONS = {
     "branch": ("core.squashes.branch",),
@@ -29,7 +36,7 @@ _SQUASH_REASONS = {
 
 
 def characterize(result):
-    """Extract one scheme's Table VI column set from a RunResult."""
+    """Extract one scheme's Table VI column set from a cell's result."""
     exposures = result.count("invisispec.exposures")
     val_hit = result.count("invisispec.validations_l1_hit")
     val_miss = result.count("invisispec.validations_l1_miss")
@@ -83,17 +90,14 @@ def run(
     instructions=None,
     seed=0,
     quick=False,
-    average_over=None,
     engine=None,
     **_ignored,
 ):
     """Regenerate Table VI (IS-Sp and IS-Fu under TSO).
 
-    ``average_over`` optionally names the app set used for the two average
-    rows (defaults to the highlighted apps themselves, to keep the default
-    harness fast; pass the full suites for the paper's exact averages).
-    With ``engine``, a failed cell renders as a row of gaps and is dropped
-    from the averages.
+    The two average rows of each suite average over its listed apps.  A
+    failed cell renders as a row of gaps and is dropped from the
+    averages.
     """
     rows = []
     per_app = {}
@@ -102,42 +106,31 @@ def run(
 
     # All cells of the table, batched through the engine in one call so
     # ``--jobs N`` can fan them out over the supervisor's worker pool.
-    results = {}
-    if engine is not None:
-        cells = [
-            CellSpec(
-                suite, app, scheme, ConsistencyModel.TSO,
-                seed=seed, instructions=instructions,
-            )
-            for suite, apps in (("spec", spec_list), ("parsec", parsec_list))
-            for app in apps
-            for scheme in (Scheme.IS_SPECTRE, Scheme.IS_FUTURE)
-        ]
-        for spec, outcome in zip(cells, engine.run_specs(cells)):
-            results[(spec.suite, spec.app, spec.scheme)] = (
-                outcome.result if outcome.ok else outcome.failure()
-            )
-
-    def run_cell(suite, app, scheme, runner):
-        if engine is not None:
-            return results[(suite, app, scheme)]
-        config = ProcessorConfig(
-            scheme=scheme, consistency=ConsistencyModel.TSO
+    cells = [
+        CellSpec(
+            suite, app, scheme, ConsistencyModel.TSO,
+            seed=seed, instructions=instructions,
         )
-        kwargs = {} if instructions is None else {"instructions": instructions}
-        return runner(app, config, seed=seed, **kwargs)
+        for suite, apps in (("spec", spec_list), ("parsec", parsec_list))
+        for app in apps
+        for scheme in _SCHEMES
+    ]
+    results = {
+        (spec.suite, spec.app, spec.scheme): result
+        for spec, result in zip(cells, run_cells(cells, engine))
+    }
 
-    def add_rows(suite, apps, runner):
+    def add_rows(suite, apps):
         stats = {}
         for app in apps:
             app_stats = {}
-            for scheme in (Scheme.IS_SPECTRE, Scheme.IS_FUTURE):
-                result = run_cell(suite.lower(), app, scheme, runner)
+            for scheme in _SCHEMES:
+                result = results[(suite.lower(), app, scheme)]
                 app_stats[scheme] = (
                     characterize(result) if is_ok(result) else None
                 )
             stats[app] = app_stats
-            for scheme in (Scheme.IS_SPECTRE, Scheme.IS_FUTURE):
+            for scheme in _SCHEMES:
                 cell_stats = app_stats[scheme]
                 rows.append(
                     [f"{app} ({scheme.value})"]
@@ -146,7 +139,7 @@ def run(
                         for key, _ in _COLUMNS
                     ]
                 )
-        for scheme in (Scheme.IS_SPECTRE, Scheme.IS_FUTURE):
+        for scheme in _SCHEMES:
             rows.append(
                 [f"{suite}-average ({scheme.value})"]
                 + [
@@ -165,8 +158,8 @@ def run(
             )
         per_app.update(stats)
 
-    add_rows("SPEC", spec_list, run_spec)
-    add_rows("PARSEC", parsec_list, run_parsec)
+    add_rows("SPEC", spec_list)
+    add_rows("PARSEC", parsec_list)
 
     headers = ["app (scheme)"] + [label for _, label in _COLUMNS]
     notes = (

@@ -9,29 +9,51 @@ mind when reading the reproduced figures.
 
 from __future__ import annotations
 
-from ..configs import Scheme
-from .common import ExperimentResult, multi_seed_overhead
+from ..configs import ConsistencyModel, Scheme
+from ..reliability import CellSpec
+from .common import ExperimentResult, mean_std, normalized, run_cells
+
+_SCHEMES = (Scheme.BASE, Scheme.IS_SPECTRE, Scheme.IS_FUTURE)
 
 
 def run(apps=("mcf", "sjeng", "libquantum", "hmmer"), instructions=2500,
-        seeds=(0, 1, 2), quick=False, **_ignored):
-    """Overhead mean +/- std across seeds for IS-Sp and IS-Fu."""
+        seeds=(0, 1, 2), quick=False, engine=None, **_ignored):
+    """Overhead mean +/- std across seeds for IS-Sp and IS-Fu.
+
+    Base runs once per (app, seed) and anchors both overheads; a failed
+    cell drops that seed from the app's statistics.
+    """
     if quick:
         apps = apps[:2]
         seeds = seeds[:2]
+    specs = [
+        CellSpec(
+            "spec", app, scheme, ConsistencyModel.TSO,
+            seed=seed, instructions=instructions,
+        )
+        for app in apps
+        for seed in seeds
+        for scheme in _SCHEMES
+    ]
+    results = dict(zip(
+        ((spec.app, spec.seed, spec.scheme) for spec in specs),
+        run_cells(specs, engine),
+    ))
     headers = ["app", "IS-Sp mean", "IS-Sp std", "IS-Fu mean", "IS-Fu std"]
     rows = []
     for app in apps:
-        sp_mean, sp_std = multi_seed_overhead(
-            app, Scheme.IS_SPECTRE, instructions=instructions, seeds=seeds
-        )
-        fu_mean, fu_std = multi_seed_overhead(
-            app, Scheme.IS_FUTURE, instructions=instructions, seeds=seeds
-        )
-        rows.append(
-            [app, round(sp_mean, 3), round(sp_std, 3),
-             round(fu_mean, 3), round(fu_std, 3)]
-        )
+        norms = [
+            normalized(
+                {scheme: results[(app, seed, scheme)] for scheme in _SCHEMES},
+                lambda r: r.cycles,
+            )
+            for seed in seeds
+        ]
+        row = [app]
+        for scheme in _SCHEMES[1:]:
+            present = [n[scheme] for n in norms if n[scheme] is not None]
+            row += [round(value, 3) for value in mean_std(present)]
+        rows.append(row)
     notes = (
         f"{len(seeds)} seeds x {instructions} measured instructions.  "
         "Standard deviations of a few percent are expected at this scale; "

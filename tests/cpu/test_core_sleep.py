@@ -14,6 +14,7 @@ normal one.
 import pytest
 
 from repro.configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
+from repro.cpu.core import Core
 from repro.cpu.isa import MicroOp, OpKind
 from repro.params import SystemParams
 from repro.security import (
@@ -198,3 +199,101 @@ def test_attack_programs_shadow_ticks_are_idle(attack, scheme, monkeypatch):
     assert ATTACKS[attack](config) == normal
     # The attack's own core (core 0 in every PoC) really sleeps.
     assert shadowed.count(0) > 0, shadowed
+
+
+# Directed two-core cases for the external wake-ups: the hierarchy calls
+# ``on_invalidation``/``on_l1_eviction`` on a core the kernel may be
+# skipping, and those squash performed loads through ``squash_load``.
+# Core 0 parks a long-latency op at its ROB head, so the younger loads
+# behind it perform but cannot retire, and core 0 sleeps.
+_SHARED_BASE = 0x0200_0000
+_L1_SET_STRIDE = 128 * 64  # 64 KB, 8-way, 64 B lines: 128 sets
+
+
+def _program():
+    """An op builder that gives each op the next PC."""
+    pcs = iter(range(0x1000, 0x10_0000, 4))
+    return lambda kind, **fields: MicroOp(kind, pc=next(pcs), **fields)
+
+
+def _remote_stores(context):
+    """Core 1's stores invalidate the lines of core 0's performed loads
+    while core 0 waits on a DRAM miss."""
+    op = _program()
+    shared = [_SHARED_BASE + 64 * i for i in range(4)]
+    context.run_ops(0, [op(OpKind.LOAD, addr=addr) for addr in shared])
+    context.traces[1].feed(
+        [op(OpKind.ALU) for _ in range(16)]
+        + [op(OpKind.STORE, addr=addr, store_value=1) for addr in shared]
+    )
+    context.system.cores[1].reopen()
+    context.run_ops(
+        0,
+        [op(OpKind.LOAD, addr=0x0800_0000)]
+        + [op(OpKind.LOAD, addr=addr) for addr in shared],
+    )
+
+
+def _own_fills(context):
+    """Core 0's misses to one L1 set evict the lines of its performed loads
+    while a 400-cycle op holds its ROB head.  Core 1 runs a dependent ALU
+    chain meanwhile, so the kernel steps instead of jumping to events."""
+    op = _program()
+    lines = [_SHARED_BASE + _L1_SET_STRIDE * k for k in range(12)]
+    context.run_ops(0, [op(OpKind.LOAD, addr=addr) for addr in lines[:4]])
+    context.traces[1].feed([op(OpKind.ALU, deps=(1,)) for _ in range(500)])
+    context.system.cores[1].reopen()
+    context.run_ops(
+        0,
+        [op(OpKind.ALU, latency=400)]
+        + [op(OpKind.LOAD, addr=addr) for addr in lines],
+    )
+
+
+# (case, scheme) -> the entry points each case must reach on core 0 while
+# the kernel is skipping it.
+_EXTERNAL_WAKES = {
+    (_remote_stores, Scheme.BASE): {"on_invalidation", "squash_load"},
+    (_remote_stores, Scheme.IS_FUTURE): {"on_invalidation", "squash_load"},
+    (_own_fills, Scheme.BASE): {"on_l1_eviction", "squash_load"},
+    # InvisiSpec rides evictions out: no squash.
+    (_own_fills, Scheme.IS_FUTURE): {"on_l1_eviction"},
+}
+
+
+def _run_directed(case, scheme):
+    config = ProcessorConfig(scheme=scheme, consistency=_TSO)
+    with channel.AttackContext(config, num_cores=2) as context:
+        case(context)
+        return context.kernel.cycle, [
+            core.counters.as_dict() for core in context.system.cores
+        ]
+
+
+def _record_sleeping_calls(monkeypatch, reached):
+    """Note each external entry point that finds its core asleep."""
+    for name in ("on_invalidation", "on_l1_eviction", "squash_load"):
+        method = getattr(Core, name)
+
+        def recorded(core, *args, _method=method, _name=name, **kwargs):
+            kernel = core.kernel
+            if kernel._components.index(core) in kernel._sleeping:
+                reached.add((core.core_id, _name))
+            return _method(core, *args, **kwargs)
+
+        monkeypatch.setattr(Core, name, recorded)
+
+
+@pytest.mark.parametrize(
+    "case, scheme", list(_EXTERNAL_WAKES),
+    ids=lambda value: getattr(value, "__name__", None) or value.value,
+)
+def test_external_wakes_reach_a_sleeping_core(case, scheme, monkeypatch):
+    normal = _run_directed(case, scheme)
+    shadowed, reached = [], set()
+    _shadow_kernel(monkeypatch, shadowed)
+    _record_sleeping_calls(monkeypatch, reached)
+    assert _run_directed(case, scheme) == normal
+    assert shadowed.count(0) > 0
+    asleep_at = {name for core_id, name in reached if core_id == 0}
+    assert asleep_at == _EXTERNAL_WAKES[(case, scheme)]

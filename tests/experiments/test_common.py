@@ -72,16 +72,6 @@ class TestMeanStd:
         assert mean_std([5.0]) == (5.0, 0.0)
         assert mean_std([]) == (0.0, 0.0)
 
-    def test_multi_seed_overhead(self):
-        from repro.configs import Scheme
-        from repro.experiments.common import multi_seed_overhead
-
-        mean, std = multi_seed_overhead(
-            "hmmer", Scheme.IS_SPECTRE, instructions=600, seeds=(0, 1)
-        )
-        assert mean > 0.5
-        assert std >= 0.0
-
 
 class TestHelpers:
     def test_default_apps_full_suites(self):

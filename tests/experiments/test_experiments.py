@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, figure4, figure5, figure6
+from repro.experiments import ALL_EXPERIMENTS, figure5, figures
 from repro.experiments import ablations, table6, table7, tables45
 
 
@@ -15,7 +15,7 @@ class TestRegistry:
 
 class TestFigure4:
     def test_rows_and_shape(self):
-        result = figure4.run(
+        result = figures.figure4(
             apps=["hmmer"], instructions=600, include_rc=False
         )
         row = result.row_for("hmmer")
@@ -28,7 +28,7 @@ class TestFigure4:
         assert result.row_for("average") is not None
 
     def test_rc_average_row(self):
-        result = figure4.run(apps=["hmmer"], instructions=500, include_rc=True)
+        result = figures.figure4(apps=["hmmer"], instructions=500, include_rc=True)
         assert result.row_for("RC-average") is not None
 
 
@@ -47,7 +47,7 @@ class TestFigure5:
 
 class TestFigure6:
     def test_traffic_normalized(self):
-        result = figure6.run(
+        result = figures.figure6(
             apps=["hmmer"], instructions=600, include_rc=False
         )
         row = result.row_for("hmmer")

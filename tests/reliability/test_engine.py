@@ -6,7 +6,7 @@ import pytest
 
 from repro.configs import ConsistencyModel, ProcessorConfig, Scheme
 from repro.errors import DeadlockError, ProtocolError, SimTimeoutError
-from repro.experiments import figure4
+from repro.experiments import figures
 from repro.reliability import (
     CellFailure,
     CellResult,
@@ -359,7 +359,7 @@ class TestFigure4Acceptance:
             fault_schedule=FaultSchedule.parse(["mshr.stuck:nth=3"]),
             fault_cells=self.TARGET,
         )
-        result = figure4.run(
+        result = figures.figure4(
             apps=self.APPS, instructions=600, include_rc=False,
             engine=engine,
         )
@@ -382,7 +382,7 @@ class TestFigure4Acceptance:
 
         # Pass 2: --resume without faults re-runs only the failed cell.
         resumed = self._engine(path, resume=True)
-        result2 = figure4.run(
+        result2 = figures.figure4(
             apps=self.APPS, instructions=600, include_rc=False,
             engine=resumed,
         )
@@ -407,11 +407,11 @@ class TestFigure4Acceptance:
         # Journal-served metrics must reproduce the fresh numbers exactly.
         path = tmp_path / "figure4.json"
         engine = self._engine(path)
-        fresh = figure4.run(
+        fresh = figures.figure4(
             apps=["hmmer"], instructions=600, include_rc=False, engine=engine,
         )
         resumed_engine = self._engine(path, resume=True)
-        resumed = figure4.run(
+        resumed = figures.figure4(
             apps=["hmmer"], instructions=600, include_rc=False,
             engine=resumed_engine,
         )
