@@ -21,20 +21,35 @@ operations go through :class:`repro.coherence.CacheHierarchy`.
 Sleep and wake
 --------------
 
-A tick that does no work and changes nothing returns ``"idle"`` and the
+A tick that does no work and sets no flag returns ``"idle"`` and the
 kernel stops ticking the core (see :mod:`repro.sim.kernel`).  Everything
-that can change the core from outside its own tick is a *waking entry
-point* that sets :attr:`Core.wake_requested`: the event and memory
-callbacks (``_complete_alu``, ``_resolve_branch``,
-``_issue_load_to_memory``, ``_complete_entry``, ``_on_load_data``,
-``_issue_deferred``, ``_on_store_performed``, the visibility engine's
-``_on_complete`` and the L1-I fill's :meth:`Core.wake`), the hierarchy's
-``on_invalidation``/``on_l1_eviction``, ``squash_load`` and ``reopen``.
-The only time-driven change, the timer interrupt, is the core's
-:attr:`Core.wake_cycle`.  A tick that changes state without doing
-pipeline work (issuing a validation, exposure or deferred TLB walk,
-completing a fence, touching interrupt state, starting an L1-I fill, the
-trace running dry) sets the flag too, so that tick reports ``"waiting"``.
+that can change what a tick does from outside the core's own tick is a
+*waking entry point* that sets :attr:`Core.wake_requested`:
+
+* ``_complete_entry``, which every op's completion reaches: the ALU and
+  branch events (``_complete_alu``, ``_resolve_branch``) and a load's
+  data (``_on_load_data``) wake only through it;
+* ``_issue_load_to_memory``, whose TLB-walk event moves a load out of the
+  unclassified vstate that stops the in-order visibility scan;
+* ``_on_store_performed``, the visibility engine's ``_on_complete``, the
+  L1-I fill's :meth:`Core.wake`, the hierarchy's
+  ``on_invalidation``/``on_l1_eviction``, ``squash_load`` and ``reopen``.
+
+Two callbacks change nothing a tick reads, so they do not wake: data for
+a load a store forward already completed only fills its SB line (an SB
+waiter it serves completes, and wakes), and ``_issue_deferred`` only
+submits a load the waking tick of ``_tick_deferred_loads`` already moved
+to state N.  The only time-driven change, the timer interrupt, is the
+core's :attr:`Core.wake_cycle`: while one is due or pending the kernel
+ticks the core at every step, flag or not.
+
+A tick's own changes are seen by the stages after it in the same tick
+(the order above), so a tick sets the flag only for a change that an
+earlier stage, or the same stage on the next tick, acts on: issuing a
+validation, exposure or deferred TLB walk, starting an L1-I fill, the
+trace running dry.  That tick then reports ``"waiting"``.  Marking a
+fence done, in ``_retire`` or ``_tick_fences``, needs no flag: the later
+stages see it, and each op it releases wakes the core when it completes.
 While asleep the core owes the kernel the idle tick's stall counters once
 per skipped tick; :meth:`Core.credit_idle_ticks` pays them.
 """
@@ -339,8 +354,6 @@ class Core:
         next_at = self.interrupts.next_at
         if next_at is None or now < next_at:
             return False
-        # Due or pending: the interrupt unit's state may change.
-        self.wake_requested = True
         if not self.interrupts.should_fire(now):
             return False
         if self.rob.empty:
@@ -585,7 +598,6 @@ class Core:
     def _complete_alu(self, entry):
         if entry.squashed:
             return
-        self.wake_requested = True
         op = entry.op
         if op.compute_fn is not None and op.dst is not None:
             self.env[op.dst] = op.compute_fn(self.env)
@@ -611,7 +623,6 @@ class Core:
     def _resolve_branch(self, entry):
         if entry.squashed or entry.resolved:
             return
-        self.wake_requested = True
         entry.resolved = True
         op = entry.op
         if not entry.is_wrong_path:
@@ -795,7 +806,6 @@ class Core:
     def _on_load_data(self, entry, lq_entry, kind, result):
         if entry.squashed or not lq_entry.valid:
             return
-        self.wake_requested = True
         now = self.kernel.cycle
         if kind.invisible:
             mask = self.space.byte_mask(lq_entry.addr, lq_entry.size)
@@ -916,7 +926,6 @@ class Core:
             return
         if lq_entry.forwarded or lq_entry.performed:
             return
-        self.wake_requested = True
         self._submit_load(entry, lq_entry, RequestKind.LOAD)
 
     # ---------------------------------------------------------------- stores
@@ -998,7 +1007,6 @@ class Core:
                     break
                 if not head.fence_done:
                     head.fence_done = True
-                    self.wake_requested = True
 
             if head.state != "completed":
                 if kind.is_load_like and head.lq_entry is not None:
@@ -1118,7 +1126,6 @@ class Core:
             if fence_entry.stream_pos is not None:
                 return
         fence_entry.fence_done = True
-        self.wake_requested = True
         self._release_fence_blocked(now)
 
     def _maybe_finish(self):

@@ -41,7 +41,7 @@ from ..reliability import (
     RunJournal,
     Supervisor,
 )
-from . import ALL_EXPERIMENTS
+from . import ALL_EXPERIMENTS, figures
 
 #: Generous per-cell cycle budget: an order of magnitude above the slowest
 #: legitimate full-suite cell, so only runaway runs and injected drops trip.
@@ -59,13 +59,24 @@ def parse_size(text):
     return int(text)
 
 
-def build_engine(args, experiment, schedule):
-    """One engine (and journal) per experiment invocation."""
+def journal_name(experiment):
+    """The journal an experiment's cells go to.
+
+    Figures 4 and 6 are views of one SPEC cell matrix, and Figures 7 and
+    8 of one PARSEC matrix, so each pair shares ``<suite>-matrix``: a
+    view run after the other with ``--resume`` serves every cell from
+    the journal.  Every other experiment has a journal of its own.
+    """
+    view = figures.VIEWS.get(experiment)
+    return f"{view.suite}-matrix" if view is not None else experiment
+
+
+def build_engine(args, name, schedule):
+    """One engine and journal per journal name (see :func:`journal_name`)."""
     journal = None
     if not args.no_journal:
         journal = RunJournal(
-            os.path.join(args.journal_dir, f"{experiment}.json"),
-            experiment=experiment,
+            os.path.join(args.journal_dir, f"{name}.json"), experiment=name,
         )
     supervisor = None
     if args.jobs > 1:
@@ -261,14 +272,25 @@ def main(argv=None):
         kwargs["sanitize"] = args.sanitize
 
     total_failures = 0
+    engines = {}  # journal name -> the engine its experiments share
     for name in names:
         runner = ALL_EXPERIMENTS[name]
         supported = runner.__code__.co_varnames[: runner.__code__.co_argcount]
         call_kwargs = dict(kwargs)
         engine = None
         if "engine" in supported:
-            engine = build_engine(args, name, schedule)
+            journal = journal_name(name)
+            engine = engines.get(journal)
+            if engine is None:
+                engine = engines[journal] = build_engine(
+                    args, journal, schedule
+                )
+            elif engine.journal is not None:
+                # An earlier view of this matrix just journaled each of
+                # its cells: serve the ok ones, re-attempt the failed.
+                engine.resume = True
             call_kwargs["engine"] = engine
+        first = len(engine.outcomes) if engine is not None else 0
         for optional in ("apps", "include_rc", "instructions", "out", "sanitize"):
             if optional in call_kwargs and optional not in supported:
                 del call_kwargs[optional]
@@ -278,7 +300,7 @@ def main(argv=None):
             # A supervised parallel sweep drained on SIGINT/SIGTERM (or the
             # user interrupted a serial one).  Completed cells are already
             # journaled; resume from there.
-            done = len(engine.outcomes) if engine is not None else 0
+            done = len(engine.outcomes) - first if engine is not None else 0
             print(
                 f"\n[reliability] interrupted: {done} cell(s) journaled; "
                 f"re-run with --resume to continue",
@@ -286,13 +308,16 @@ def main(argv=None):
             )
             return 130
         print(result if isinstance(result, str) else result.text)
-        if engine is not None and engine.failures:
-            total_failures += len(engine.failures)
+        failures = [] if engine is None else [
+            outcome for outcome in engine.outcomes[first:] if not outcome.ok
+        ]
+        if failures:
+            total_failures += len(failures)
             print(
-                f"[reliability] {len(engine.failures)} cell(s) failed "
+                f"[reliability] {len(failures)} cell(s) failed "
                 f"(rendered as gaps):"
             )
-            for outcome in engine.failures:
+            for outcome in failures:
                 label = (
                     " [quarantined]" if outcome.status == "poisoned" else ""
                 )

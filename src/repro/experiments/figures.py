@@ -212,6 +212,11 @@ def _experiment(view):
     return run
 
 
+#: The figures by experiment name; views of one suite share its matrix.
+VIEWS = {
+    view.experiment_id: view for view in (FIGURE4, FIGURE6, FIGURE7, FIGURE8)
+}
+
 figure4 = _experiment(FIGURE4)
 figure6 = _experiment(FIGURE6)
 figure7 = _experiment(FIGURE7)

@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass
 
 from ..errors import ReproError
+from .generator import FuzzProgram
+from .harness import differential_check
 
 __all__ = ["FuzzBatchResult", "FuzzCellSpec"]
 
@@ -78,9 +80,6 @@ class FuzzCellSpec:
         a :class:`~repro.errors.ReproError` becomes an ``error`` verdict
         instead of failing the batch.
         """
-        from .generator import FuzzProgram
-        from .harness import differential_check
-
         phase_cycles = max_cycles if max_cycles is not None else 2_000_000
         verdicts = []
         total_cycles = 0

@@ -28,6 +28,7 @@ from ..cpu.isa import MicroOp, OpKind
 from ..invisispec.policy import ISFuturePolicy, ISSpectrePolicy
 from ..security.channel import AttackContext
 from ..specflow.analyzer import SAFE, TRANSMIT, UNKNOWN, SpecFlowAnalyzer
+from ..specflow.mutations import make_weakened_analyzer
 
 __all__ = [
     "AGREE",
@@ -59,8 +60,6 @@ _DEFAULT_PHASE_CYCLES = 2_000_000
 def _make_analyzer(model, window, weaken):
     if weaken is None:
         return SpecFlowAnalyzer(model=model, window=window)
-    from ..specflow.mutations import make_weakened_analyzer
-
     return make_weakened_analyzer(weaken, model=model, window=window)
 
 

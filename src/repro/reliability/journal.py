@@ -1,4 +1,4 @@
-"""Persistent run journal: one JSON file per experiment.
+"""Persistent run journal: one JSON file per experiment (or cell matrix).
 
 The journal is the reliability engine's source of truth for resume: after
 every failed attempt and every finished cell the engine records it and the
@@ -8,11 +8,13 @@ most the attempt that was in flight.  A subsequent
 record is ``ok`` — their figure-relevant metrics are reconstructed straight
 from the journal — and re-attempts only the failed ones.
 
-File format (``results/journal/<experiment>.json``)::
+File format (``results/journal/<name>.json``; the experiments CLI gives
+the views of one cell matrix one journal, ``spec-matrix`` or
+``parsec-matrix``)::
 
     {
       "version": 1,
-      "experiment": "figure4",
+      "experiment": "spec-matrix",
       "cells": {
         "<cell id>": {
           "status": "ok" | "failed" | "poisoned",

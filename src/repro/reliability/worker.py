@@ -30,6 +30,7 @@ import signal
 import time
 from dataclasses import dataclass
 
+from .. import runner
 from ..configs import ProcessorConfig
 from .engine import WallClockGuard, capture_metrics, cell_id_for
 
@@ -62,10 +63,8 @@ class CellSpec:
 
     def run(self, seed, max_cycles, watchdog, faults, heartbeat=None):
         """Execute this cell at one attempt's seed and budget."""
-        # Late import so monkeypatched ``repro.runner`` entry points are
-        # honored — fork-started workers inherit test patches that way.
-        from .. import runner
-
+        # Looked up on the module at call time, so a monkeypatched
+        # ``repro.runner`` entry point reaches fork-started workers too.
         fn = runner.run_spec if self.suite == "spec" else runner.run_parsec
         kwargs = {}
         if self.instructions is not None:

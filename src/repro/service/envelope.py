@@ -26,8 +26,12 @@ from dataclasses import dataclass
 
 from ..configs import ConsistencyModel, Scheme
 from ..errors import ConfigError, WorkloadError
+from ..fuzz.cells import FuzzCellSpec
+from ..fuzz.generator import FuzzProgram
 from ..reliability.faults import FaultSchedule
 from ..reliability.worker import CellSpec
+from ..specflow import programs as corpus
+from ..specflow.analyzer import analyze_program
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -209,8 +213,6 @@ class SpecflowCellSpec:
     def run(self, seed, max_cycles, watchdog, faults, heartbeat=None):
         # seed/max_cycles/faults accepted for pool-contract compatibility
         # but unused: analysis is a pure function of the program.
-        from ..specflow.analyzer import analyze_program
-
         if heartbeat is not None:
             heartbeat(0)
         prog = self._resolve_program()
@@ -223,11 +225,7 @@ class SpecflowCellSpec:
 
     def _resolve_program(self):
         if self.program.lstrip().startswith("{"):
-            from ..fuzz.generator import FuzzProgram
-
             return FuzzProgram.from_dict(json.loads(self.program)).spec_program()
-        from ..specflow import programs as corpus
-
         for prog in corpus.all_programs(seed=self.corpus_seed):
             if prog.name == self.program:
                 return prog
@@ -326,8 +324,6 @@ class JobRequest:
                 ),
                 None,
             )
-        from ..fuzz.cells import FuzzCellSpec
-
         p = self.payload
         return (
             FuzzCellSpec(

@@ -23,6 +23,13 @@ from __future__ import annotations
 
 from ..cpu import isa
 from ..cpu.isa import Expr, MicroOp, OpKind
+from ..security import (
+    cross_core,
+    exception_attacks,
+    meltdown_style,
+    spectre_v1,
+    ssb,
+)
 from ..workloads import spec_trace
 
 __all__ = [
@@ -92,14 +99,6 @@ class SpecProgram:
 def attack_programs():
     """One :class:`SpecProgram` per security PoC (exception variants
     expand to one each), in deterministic name order."""
-    from ..security import (
-        cross_core,
-        exception_attacks,
-        meltdown_style,
-        spectre_v1,
-        ssb,
-    )
-
     programs = [
         spectre_v1.specflow_program(),
         meltdown_style.specflow_program(),

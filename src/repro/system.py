@@ -25,6 +25,7 @@ from .errors import ConfigError, SimulationError
 from .mem.address import AddressSpace
 from .mem.memimage import MemoryImage
 from .params import SystemParams
+from .sanitizer import make_sanitizer
 from .sim.kernel import SimKernel
 from .stats.counters import Counters
 
@@ -166,8 +167,6 @@ class System:
             self.hierarchy.set_llc_sbs([core.llc_sb for core in self.cores])
         # Optional runtime invariant sanitizer (repro.sanitizer): accepts a
         # Sanitizer instance or a mode string ("strict" / "record").
-        from .sanitizer import make_sanitizer
-
         self.sanitizer = make_sanitizer(sanitizer)
         if self.sanitizer is not None:
             self.sanitizer.install(self)

@@ -203,10 +203,12 @@ def test_attack_programs_shadow_ticks_are_idle(attack, scheme, monkeypatch):
 
 # Directed two-core cases for the external wake-ups: the hierarchy calls
 # ``on_invalidation``/``on_l1_eviction`` on a core the kernel may be
-# skipping, and those squash performed loads through ``squash_load``.
+# skipping, and those squash performed loads through ``squash_load``; a
+# TLB walk's end issues its load through ``_issue_load_to_memory``.
 # Core 0 parks a long-latency op at its ROB head, so the younger loads
 # behind it perform but cannot retire, and core 0 sleeps.
 _SHARED_BASE = 0x0200_0000
+_COLD_PAGE = 0x0A00_0000  # no earlier op touches it: a TLB miss
 _L1_SET_STRIDE = 128 * 64  # 64 KB, 8-way, 64 B lines: 128 sets
 
 
@@ -250,14 +252,41 @@ def _own_fills(context):
     )
 
 
+def _safe_walk(context):
+    """A safe load's TLB walk ends while core 0 sleeps.  Under IS-Spectre
+    the load after the branch that follows it is a USL; by the walk's end
+    it has performed and the branch has resolved, but the in-order
+    visibility scan stops at the walking load until the walk's end
+    issues it.  Core 1 runs a dependent ALU chain meanwhile, so the
+    kernel steps."""
+    op = _program()
+    context.run_ops(0, [op(OpKind.LOAD, addr=_SHARED_BASE)])
+    context.traces[1].feed([op(OpKind.ALU, deps=(1,)) for _ in range(300)])
+    context.system.cores[1].reopen()
+    context.run_ops(
+        0,
+        [
+            op(OpKind.LOAD, addr=_COLD_PAGE),
+            op(OpKind.BRANCH),
+            op(OpKind.LOAD, addr=_SHARED_BASE + 8),
+        ],
+    )
+
+
+_WALK, _INV, _EVICT, _SQUASH = (
+    "_issue_load_to_memory", "on_invalidation", "on_l1_eviction",
+    "squash_load",
+)
+
 # (case, scheme) -> the entry points each case must reach on core 0 while
 # the kernel is skipping it.
 _EXTERNAL_WAKES = {
-    (_remote_stores, Scheme.BASE): {"on_invalidation", "squash_load"},
-    (_remote_stores, Scheme.IS_FUTURE): {"on_invalidation", "squash_load"},
-    (_own_fills, Scheme.BASE): {"on_l1_eviction", "squash_load"},
+    (_remote_stores, Scheme.BASE): {_WALK, _INV, _SQUASH},
+    (_remote_stores, Scheme.IS_FUTURE): {_WALK, _INV, _SQUASH},
+    (_own_fills, Scheme.BASE): {_WALK, _EVICT, _SQUASH},
     # InvisiSpec rides evictions out: no squash.
-    (_own_fills, Scheme.IS_FUTURE): {"on_l1_eviction"},
+    (_own_fills, Scheme.IS_FUTURE): {_WALK, _EVICT},
+    (_safe_walk, Scheme.IS_SPECTRE): {_WALK},
 }
 
 
@@ -272,7 +301,7 @@ def _run_directed(case, scheme):
 
 def _record_sleeping_calls(monkeypatch, reached):
     """Note each external entry point that finds its core asleep."""
-    for name in ("on_invalidation", "on_l1_eviction", "squash_load"):
+    for name in (_WALK, _INV, _EVICT, _SQUASH):
         method = getattr(Core, name)
 
         def recorded(core, *args, _method=method, _name=name, **kwargs):

@@ -446,6 +446,6 @@ print("COMPLETE", flush=True)
             )
             assert out.returncode == 0, out.stderr
             outputs.append(out.stdout)
-            journals.append(_strip_wall(journal_dir / "figure4.json"))
+            journals.append(_strip_wall(journal_dir / "spec-matrix.json"))
         assert outputs[0] == outputs[1]
         assert journals[0] == journals[1]
