@@ -27,7 +27,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.fuzz import run_campaign  # noqa: E402
+from repro.fuzz.campaign import run_campaign  # noqa: E402
 
 
 def _timed_campaign(programs, seed, out_dir, jobs):

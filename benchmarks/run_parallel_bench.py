@@ -26,7 +26,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.configs import ConsistencyModel, Scheme  # noqa: E402
+from repro.configs import ProcessorConfig, Scheme  # noqa: E402
 from repro.reliability import (  # noqa: E402
     CellSpec,
     RunEngine,
@@ -41,7 +41,7 @@ SCHEMES = (Scheme.BASE, Scheme.IS_SPECTRE)
 def _specs(instructions):
     return [
         CellSpec(
-            "spec", app, scheme, ConsistencyModel.TSO,
+            "spec", app, ProcessorConfig(scheme=scheme),
             instructions=instructions,
         )
         for app in APPS

@@ -6,12 +6,9 @@ Run:  python examples/fence_comparison.py [workload] [instructions]
 
 import sys
 
-from repro.configs import ALL_SCHEMES
-from repro.runner import (
-    normalized_execution_time,
-    normalized_traffic,
-    run_matrix,
-)
+from repro.configs import ALL_SCHEMES, ConsistencyModel
+from repro.experiments import figures
+from repro.experiments.common import normalized
 
 
 def main():
@@ -19,9 +16,12 @@ def main():
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 5000
     print(f"running {workload} under the five configurations "
           f"({instructions} measured instructions each)...\n")
-    results = run_matrix(workload, instructions=instructions)
-    exec_norm = normalized_execution_time(results)
-    traffic_norm = normalized_traffic(results)
+    matrix = figures.run_matrix(
+        "spec", apps=[workload], instructions=instructions, include_rc=False
+    )
+    results = matrix[ConsistencyModel.TSO][workload]
+    exec_norm = normalized(results, lambda r: r.cycles)
+    traffic_norm = normalized(results, lambda r: r.traffic_bytes)
 
     print(f"{'config':8}{'exec time':>12}{'traffic':>12}   bar")
     for scheme in ALL_SCHEMES:

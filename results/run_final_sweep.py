@@ -1,10 +1,11 @@
 """Driver producing the full-scale results quoted in EXPERIMENTS.md.
 
 Each step writes ``results/<name>.txt`` and ``results/<name>.json``; name
-steps on the command line to run only those.  Figures 4 and 6 render one
-SPEC matrix and Figures 7 and 8 one PARSEC matrix, each simulated once.
-Every simulated cell of the figures and Table VI runs through one
-in-process engine without retry; the driver exits non-zero if any cell
+steps on the command line to run only those.  Every simulated cell of
+the figures, Table VI, the ablations and the sweep runs through one
+in-process engine without retry, which serves a cell it already finished,
+so Figures 4 and 6 render one SPEC matrix and Figures 7 and 8 one PARSEC
+matrix, each simulated once.  The driver exits non-zero if any cell
 failed (it renders as a gap).
 """
 
@@ -20,32 +21,28 @@ from repro.experiments import (
 )
 from repro.reliability import RetryPolicy, RunEngine
 
-#: Measured instructions of each figure matrix (per core on PARSEC).
-WINDOWS = {"spec": 5000, "parsec": 1500}
-
 
 def main(only):
     engine = RunEngine(policy=RetryPolicy(max_attempts=1))
-    matrices = {}
-
-    def view(figure):
-        def step():
-            suite = figure.suite
-            if suite not in matrices:
-                matrices[suite] = figures.run_matrix(
-                    suite, instructions=WINDOWS[suite], include_rc=True,
-                    engine=engine,
-                )
-            return figures.render(figure, matrices[suite])
-
-        return step
-
+    # Measured instructions: 5,000 per SPEC cell, 1,500 per PARSEC core.
     steps = [
-        ("figure4", view(figures.FIGURE4)),
-        ("figure6", view(figures.FIGURE6)),
+        (
+            "figure4",
+            lambda: figures.figure4(instructions=5000, engine=engine),
+        ),
+        (
+            "figure6",
+            lambda: figures.figure6(instructions=5000, engine=engine),
+        ),
         ("figure5", lambda: figure5.run(trials=3)),
-        ("figure7", view(figures.FIGURE7)),
-        ("figure8", view(figures.FIGURE8)),
+        (
+            "figure7",
+            lambda: figures.figure7(instructions=1500, engine=engine),
+        ),
+        (
+            "figure8",
+            lambda: figures.figure8(instructions=1500, engine=engine),
+        ),
         (
             "table6",
             lambda: table6.run(
@@ -56,8 +53,11 @@ def main(only):
             ),
         ),
         ("table7", lambda: table7.run()),
-        ("ablations", lambda: ablations.run(instructions=4000)),
-        ("sweep", lambda: sweep.run(instructions=3000)),
+        (
+            "ablations",
+            lambda: ablations.run(instructions=4000, engine=engine),
+        ),
+        ("sweep", lambda: sweep.run(instructions=3000, engine=engine)),
     ]
     for name, step in steps:
         if only and name not in only:

@@ -43,19 +43,6 @@ class Scheme(enum.Enum):
     def is_invisispec(self):
         return self in (Scheme.IS_SPECTRE, Scheme.IS_FUTURE, Scheme.SELECTIVE)
 
-    @property
-    def is_fence(self):
-        return self in (Scheme.FENCE_SPECTRE, Scheme.FENCE_FUTURE)
-
-    @property
-    def attack_model(self):
-        """``"spectre"``, ``"futuristic"`` or ``None`` for the baseline."""
-        if self in (Scheme.FENCE_SPECTRE, Scheme.IS_SPECTRE):
-            return "spectre"
-        if self in (Scheme.FENCE_FUTURE, Scheme.IS_FUTURE, Scheme.SELECTIVE):
-            return "futuristic"
-        return None
-
 
 class ConsistencyModel(enum.Enum):
     """Memory consistency model of the baseline machine (Section II-B)."""
@@ -126,10 +113,6 @@ class ProcessorConfig:
     @property
     def is_invisispec(self):
         return self.scheme.is_invisispec
-
-    @property
-    def attack_model(self):
-        return self.scheme.attack_model
 
 
 def config_matrix(consistency=ConsistencyModel.TSO):

@@ -63,9 +63,11 @@ def journal_name(experiment):
     """The journal an experiment's cells go to.
 
     Figures 4 and 6 are views of one SPEC cell matrix, and Figures 7 and
-    8 of one PARSEC matrix, so each pair shares ``<suite>-matrix``: a
-    view run after the other with ``--resume`` serves every cell from
-    the journal.  Every other experiment has a journal of its own.
+    8 of one PARSEC matrix, so each pair shares ``<suite>-matrix`` and
+    one engine: in one invocation the second view is served every cell
+    the first finished, and a view run after the other with ``--resume``
+    serves every cell from the journal.  Every other experiment has a
+    journal of its own, written only once one of its cells records.
     """
     view = figures.VIEWS.get(experiment)
     return f"{view.suite}-matrix" if view is not None else experiment
@@ -274,33 +276,18 @@ def main(argv=None):
     total_failures = 0
     engines = {}  # journal name -> the engine its experiments share
     for name in names:
-        runner = ALL_EXPERIMENTS[name]
-        supported = runner.__code__.co_varnames[: runner.__code__.co_argcount]
-        call_kwargs = dict(kwargs)
-        engine = None
-        if "engine" in supported:
-            journal = journal_name(name)
-            engine = engines.get(journal)
-            if engine is None:
-                engine = engines[journal] = build_engine(
-                    args, journal, schedule
-                )
-            elif engine.journal is not None:
-                # An earlier view of this matrix just journaled each of
-                # its cells: serve the ok ones, re-attempt the failed.
-                engine.resume = True
-            call_kwargs["engine"] = engine
-        first = len(engine.outcomes) if engine is not None else 0
-        for optional in ("apps", "include_rc", "instructions", "out", "sanitize"):
-            if optional in call_kwargs and optional not in supported:
-                del call_kwargs[optional]
+        journal = journal_name(name)
+        engine = engines.get(journal)
+        if engine is None:
+            engine = engines[journal] = build_engine(args, journal, schedule)
+        first = len(engine.outcomes)
         try:
-            result = runner(**call_kwargs)
+            result = ALL_EXPERIMENTS[name](engine=engine, **kwargs)
         except KeyboardInterrupt:
             # A supervised parallel sweep drained on SIGINT/SIGTERM (or the
             # user interrupted a serial one).  Completed cells are already
             # journaled; resume from there.
-            done = len(engine.outcomes) - first if engine is not None else 0
+            done = len(engine.outcomes) - first
             print(
                 f"\n[reliability] interrupted: {done} cell(s) journaled; "
                 f"re-run with --resume to continue",
@@ -308,7 +295,7 @@ def main(argv=None):
             )
             return 130
         print(result if isinstance(result, str) else result.text)
-        failures = [] if engine is None else [
+        failures = [
             outcome for outcome in engine.outcomes[first:] if not outcome.ok
         ]
         if failures:

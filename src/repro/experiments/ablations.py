@@ -20,17 +20,21 @@ from ..configs import ConsistencyModel, ProcessorConfig, Scheme
 from ..cpu.isa import MicroOp, OpKind
 from ..cpu.trace import ProgramTrace
 from ..params import SystemParams
-from ..runner import run_parsec, run_spec
+from ..reliability import CellSpec, is_ok
 from ..system import System
-from .common import ExperimentResult
+from .common import GAP, ExperimentResult, gap_round, run_cells
 
 
-def _row(label, result, baseline=None):
-    norm = result.cycles / baseline.cycles if baseline else 1.0
+def _row(label, result, baseline):
+    """One table row; a failed cell is a row of gaps, and a failed
+    baseline leaves its rows' ``norm`` a gap."""
+    if not is_ok(result):
+        return [label] + [GAP] * 9
+    norm = result.cycles / baseline.cycles if is_ok(baseline) else None
     return [
         label,
         result.cycles,
-        round(norm, 3),
+        gap_round(norm),
         result.traffic_bytes,
         result.count("dram.accesses"),
         result.count("invisispec.validations"),
@@ -70,63 +74,50 @@ def _racing_run(early_squash, rounds=40):
 
 
 def run(app="libquantum", v2e_app="gamess", parsec_app="canneal",
-        instructions=None, seed=0, **_ignored):
-    """Run the four ablations; returns an :class:`ExperimentResult`."""
-    kwargs = {} if instructions is None else {"instructions": instructions}
+        instructions=None, seed=0, engine=None, **_ignored):
+    """Run the four ablations; returns an :class:`ExperimentResult`.
+
+    The suite cells run in one batch through ``engine``; a failed cell
+    renders as gaps.
+    """
+
+    def cell(suite, name, scheme=Scheme.IS_FUTURE, **toggles):
+        return CellSpec(
+            suite, name, ProcessorConfig(scheme=scheme, **toggles),
+            seed=seed, instructions=instructions,
+        )
+
+    reference, no_llc, v2e_ref, no_v2e, base, invisi = run_cells([
+        # 1. LLC-SB: a streaming workload whose USLs come from memory.
+        cell("spec", app),
+        cell("spec", app, llc_sb_enabled=False),
+        # 2. V->E transformation: a cache-friendly workload where older
+        # loads complete quickly (the transformation's precondition).
+        cell("spec", v2e_app),
+        cell("spec", v2e_app, val_to_exp_optimization=False),
+        # 4. The baseline's conservative squashes vs InvisiSpec riding
+        # them out.
+        cell("parsec", parsec_app, scheme=Scheme.BASE),
+        cell("parsec", parsec_app),
+    ], engine)
     headers = [
         "configuration", "cycles", "norm", "traffic B", "DRAM",
         "vals", "exps", "early-squash", "val fails", "consist squashes",
     ]
-    rows = []
-
-    # 1. LLC-SB: a streaming workload whose USLs come from memory.
-    reference = run_spec(
-        app,
-        ProcessorConfig(scheme=Scheme.IS_FUTURE),
-        seed=seed,
-        **kwargs,
-    )
-    rows.append(_row(f"{app} IS-Fu (full design)", reference, reference))
-    no_llc = run_spec(
-        app,
-        ProcessorConfig(scheme=Scheme.IS_FUTURE, llc_sb_enabled=False),
-        seed=seed,
-        **kwargs,
-    )
-    rows.append(_row(f"{app} IS-Fu no-llc-sb", no_llc, reference))
-
-    # 2. V->E transformation: a cache-friendly workload where older loads
-    # complete quickly (the transformation's precondition).
-    v2e_ref = run_spec(
-        v2e_app, ProcessorConfig(scheme=Scheme.IS_FUTURE), seed=seed, **kwargs
-    )
-    rows.append(_row(f"{v2e_app} IS-Fu (full design)", v2e_ref, v2e_ref))
-    no_v2e = run_spec(
-        v2e_app,
-        ProcessorConfig(scheme=Scheme.IS_FUTURE,
-                        val_to_exp_optimization=False),
-        seed=seed,
-        **kwargs,
-    )
-    rows.append(_row(f"{v2e_app} IS-Fu no-val-to-exp", no_v2e, v2e_ref))
-
-    # 3. Early squash: a two-core race on one line.
+    # 3. Early squash: a two-core race on one line (hand-built traces,
+    # not a suite app, so it runs here rather than as an engine cell).
     racing_on = _racing_run(early_squash=True)
     racing_off = _racing_run(early_squash=False)
-    rows.append(_row("2-core race IS-Fu (early squash)", racing_on, racing_on))
-    rows.append(_row("2-core race IS-Fu no-early-squash", racing_off,
-                     racing_on))
-
-    # 4. The baseline's conservative squashes vs InvisiSpec riding them out.
-    base = run_parsec(
-        parsec_app, ProcessorConfig(scheme=Scheme.BASE), seed=seed, **kwargs
-    )
-    invisi = run_parsec(
-        parsec_app, ProcessorConfig(scheme=Scheme.IS_FUTURE), seed=seed,
-        **kwargs,
-    )
-    rows.append(_row(f"{parsec_app} Base (conservative squashes)", base, base))
-    rows.append(_row(f"{parsec_app} IS-Fu (validations instead)", invisi, base))
+    rows = [
+        _row(f"{app} IS-Fu (full design)", reference, reference),
+        _row(f"{app} IS-Fu no-llc-sb", no_llc, reference),
+        _row(f"{v2e_app} IS-Fu (full design)", v2e_ref, v2e_ref),
+        _row(f"{v2e_app} IS-Fu no-val-to-exp", no_v2e, v2e_ref),
+        _row("2-core race IS-Fu (early squash)", racing_on, racing_on),
+        _row("2-core race IS-Fu no-early-squash", racing_off, racing_on),
+        _row(f"{parsec_app} Base (conservative squashes)", base, base),
+        _row(f"{parsec_app} IS-Fu (validations instead)", invisi, base),
+    ]
 
     notes = (
         "Expected: (1) no-llc-sb multiplies DRAM accesses and cycles for "

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..configs import ALL_SCHEMES, ConsistencyModel, Scheme
+from ..configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
 from ..reliability import CellSpec, is_ok
 from .common import (
     GAP,
@@ -56,7 +56,7 @@ def run_matrix(suite, apps=None, instructions=None, seed=0, quick=False,
     models = (_TSO, _RC) if include_rc else (_TSO,)
     specs = [
         CellSpec(
-            suite, app, scheme, model,
+            suite, app, ProcessorConfig(scheme=scheme, consistency=model),
             seed=seed, instructions=instructions, sanitize=sanitize,
         )
         for model in models
@@ -65,7 +65,8 @@ def run_matrix(suite, apps=None, instructions=None, seed=0, quick=False,
     ]
     matrix = {model: {app: {} for app in apps} for model in models}
     for spec, result in zip(specs, run_cells(specs, engine)):
-        matrix[spec.consistency][spec.app][spec.scheme] = result
+        config = spec.config
+        matrix[config.consistency][spec.app][config.scheme] = result
     return matrix
 
 
@@ -201,7 +202,7 @@ FIGURE8 = View(
 
 def _experiment(view):
     def run(apps=None, instructions=None, seed=0, quick=False,
-            include_rc=True, engine=None, sanitize=None):
+            include_rc=True, engine=None, sanitize=None, **_ignored):
         return render(view, run_matrix(
             view.suite, apps, instructions, seed, quick, include_rc,
             engine, sanitize,

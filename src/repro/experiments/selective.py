@@ -19,14 +19,16 @@ sixth bar, and re-runs every attack PoC under IS-Sel.  Acceptance:
 
 from __future__ import annotations
 
-from ..configs import ConsistencyModel, ProcessorConfig, Scheme
-from ..runner import run_spec
+from ..configs import ProcessorConfig, Scheme
+from ..reliability import CellSpec
 from ..specflow import analyze_program, all_programs, protected_pcs
 from .common import (
     ExperimentResult,
     default_apps,
+    gap_round,
     geometric_mean,
     normalized,
+    run_cells,
 )
 
 #: the schemes compared in the IS-Sel bar chart
@@ -71,10 +73,12 @@ def _poc_matrix(config):
     return defeated
 
 
-def run(apps=None, instructions=None, seed=0, quick=False):
+def run(apps=None, instructions=None, seed=0, quick=False, engine=None,
+        **_ignored):
     """Returns an :class:`ExperimentResult` whose rows are
     ``[app, Base, IS-Sp, IS-Fu, IS-Sel]`` (cycles normalized to Base),
     with the geometric-mean row and the PoC-defeat matrix in the notes.
+    A failed cell renders as a gap and is left out of the geomeans.
 
     The shipped protected set comes from specflow v2 (full precision);
     the v1 pure-taint set is recomputed alongside it so the precision
@@ -84,20 +88,22 @@ def run(apps=None, instructions=None, seed=0, quick=False):
     protected = compute_protected_pcs(seed=seed)
     protected_v1 = compute_protected_pcs(seed=seed, precision="taint")
     apps = default_apps("spec", apps, quick)
-    kwargs = {} if instructions is None else {"instructions": instructions}
-
-    results = {}
-    for app in apps:
-        per_scheme = {}
-        for scheme in _SCHEMES:
-            config = ProcessorConfig(
+    specs = [
+        CellSpec(
+            "spec", app,
+            ProcessorConfig(
                 scheme=scheme,
-                consistency=ConsistencyModel.TSO,
                 protected_pcs=protected if scheme is Scheme.SELECTIVE
                 else frozenset(),
-            )
-            per_scheme[scheme] = run_spec(app, config, seed=seed, **kwargs)
-        results[app] = per_scheme
+            ),
+            seed=seed, instructions=instructions,
+        )
+        for app in apps
+        for scheme in _SCHEMES
+    ]
+    results = {app: {} for app in apps}
+    for spec, result in zip(specs, run_cells(specs, engine)):
+        results[spec.app][spec.config.scheme] = result
 
     headers = ["app"] + [s.value for s in _SCHEMES]
     rows = []
@@ -106,8 +112,11 @@ def run(apps=None, instructions=None, seed=0, quick=False):
         norm = normalized(results[app], lambda r: r.cycles)
         for scheme in _SCHEMES:
             norms[scheme].append(norm[scheme])
-        rows.append([app] + [round(norm[s], 3) for s in _SCHEMES])
-    means = {s: geometric_mean(norms[s]) for s in _SCHEMES}
+        rows.append([app] + [gap_round(norm[s]) for s in _SCHEMES])
+    means = {
+        s: geometric_mean([n for n in norms[s] if n is not None])
+        for s in _SCHEMES
+    }
     rows.append(["geomean"] + [round(means[s], 3) for s in _SCHEMES])
 
     sel_config = ProcessorConfig(

@@ -18,8 +18,8 @@ import dataclasses
 
 from ..configs import ProcessorConfig, Scheme
 from ..params import CacheParams, SystemParams
-from ..runner import run_spec
-from .common import ExperimentResult
+from ..reliability import CellSpec, is_ok
+from .common import GAP, ExperimentResult, run_cells
 
 
 def _with_core(params, **core_overrides):
@@ -63,36 +63,47 @@ SWEEPS = {
 
 
 def run(app="mcf", dimensions=("rob", "lq", "dram", "l1"), instructions=3000,
-        seed=0, **_ignored):
-    """Sweep each dimension; rows are IS-Fu overhead over Base per point."""
+        seed=0, engine=None, **_ignored):
+    """Sweep each dimension; rows are IS-Fu overhead over Base per point.
+
+    Every point's Base and IS-Fu cells run in one batch through
+    ``engine``; a failed cell renders as gaps.
+    """
     headers = ["configuration", "Base cycles", "IS-Fu cycles",
                "IS-Fu overhead", "validations", "val-stall frac"]
+    points = [
+        (f"{dimension}:{label}", transform(SystemParams.for_spec()))
+        for dimension in dimensions
+        for label, transform in SWEEPS[dimension]
+    ]
+    specs = [
+        CellSpec(
+            "spec", app, ProcessorConfig(scheme=scheme), seed=seed,
+            instructions=instructions, params=params,
+        )
+        for _, params in points
+        for scheme in (Scheme.BASE, Scheme.IS_FUTURE)
+    ]
+    results = run_cells(specs, engine)
     rows = []
-    for dimension in dimensions:
-        for label, transform in SWEEPS[dimension]:
-            params = transform(SystemParams.for_spec())
-            base = run_spec(
-                app, ProcessorConfig(scheme=Scheme.BASE),
-                instructions=instructions, seed=seed, params=params,
-            )
-            invisi = run_spec(
-                app, ProcessorConfig(scheme=Scheme.IS_FUTURE),
-                instructions=instructions, seed=seed, params=params,
-            )
-            overhead = invisi.cycles / max(base.cycles, 1) - 1.0
-            stall = invisi.count("invisispec.validation_stall_cycles") / max(
-                invisi.cycles, 1
-            )
-            rows.append(
-                [
-                    f"{dimension}:{label}",
-                    base.cycles,
-                    invisi.cycles,
-                    f"{overhead:+.1%}",
-                    invisi.count("invisispec.validations"),
-                    round(stall, 3),
-                ]
-            )
+    for (label, _), base, invisi in zip(points, results[::2], results[1::2]):
+        row = [label, base.cycles if is_ok(base) else GAP]
+        if not is_ok(invisi):
+            rows.append(row + [GAP] * 4)
+            continue
+        overhead = (
+            f"{invisi.cycles / max(base.cycles, 1) - 1.0:+.1%}"
+            if is_ok(base) else GAP
+        )
+        stall = invisi.count("invisispec.validation_stall_cycles") / max(
+            invisi.cycles, 1
+        )
+        rows.append(row + [
+            invisi.cycles,
+            overhead,
+            invisi.count("invisispec.validations"),
+            round(stall, 3),
+        ])
     notes = (
         f"Workload: {app}.  Measured trends: the relative overhead is "
         "largest when memory is *fast* — validations and the LLC-SB keep "

@@ -11,7 +11,7 @@ Per application (and suite average), for IS-Spectre and IS-Future:
 
 from __future__ import annotations
 
-from ..configs import ConsistencyModel, Scheme
+from ..configs import ProcessorConfig, Scheme
 from ..reliability import CellSpec, is_ok
 from .common import (
     GAP,
@@ -108,7 +108,7 @@ def run(
     # ``--jobs N`` can fan them out over the supervisor's worker pool.
     cells = [
         CellSpec(
-            suite, app, scheme, ConsistencyModel.TSO,
+            suite, app, ProcessorConfig(scheme=scheme),
             seed=seed, instructions=instructions,
         )
         for suite, apps in (("spec", spec_list), ("parsec", parsec_list))
@@ -116,7 +116,7 @@ def run(
         for scheme in _SCHEMES
     ]
     results = {
-        (spec.suite, spec.app, spec.scheme): result
+        (spec.suite, spec.app, spec.config.scheme): result
         for spec, result in zip(cells, run_cells(cells, engine))
     }
 

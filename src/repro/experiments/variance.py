@@ -9,7 +9,7 @@ mind when reading the reproduced figures.
 
 from __future__ import annotations
 
-from ..configs import ConsistencyModel, Scheme
+from ..configs import ProcessorConfig, Scheme
 from ..reliability import CellSpec
 from .common import ExperimentResult, mean_std, normalized, run_cells
 
@@ -28,7 +28,7 @@ def run(apps=("mcf", "sjeng", "libquantum", "hmmer"), instructions=2500,
         seeds = seeds[:2]
     specs = [
         CellSpec(
-            "spec", app, scheme, ConsistencyModel.TSO,
+            "spec", app, ProcessorConfig(scheme=scheme),
             seed=seed, instructions=instructions,
         )
         for app in apps
@@ -36,7 +36,7 @@ def run(apps=("mcf", "sjeng", "libquantum", "hmmer"), instructions=2500,
         for scheme in _SCHEMES
     ]
     results = dict(zip(
-        ((spec.app, spec.seed, spec.scheme) for spec in specs),
+        ((spec.app, spec.seed, spec.config.scheme) for spec in specs),
         run_cells(specs, engine),
     ))
     headers = ["app", "IS-Sp mean", "IS-Sp std", "IS-Fu mean", "IS-Fu std"]

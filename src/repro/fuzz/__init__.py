@@ -20,30 +20,14 @@ The differential checker classifies every load: AGREE, SAFE-but-leaks
 gap — tracked).  Disagreeing programs are delta-minimized to a minimal
 reproducer and journaled into a content-addressed triage corpus.
 
+The package imports nothing, so a process that needs one piece (the
+analysis service loads only :mod:`~repro.fuzz.cells`) holds only that
+piece's modules; import from the submodules, e.g.
+``from repro.fuzz.campaign import run_campaign``.
+
 Entry points::
 
     python -m repro.fuzz --programs 1000 --jobs 4 --seed 0
     python -m repro.fuzz --programs 64 --weaken branch_shadows_only
     python -m repro.fuzz replay results/fuzz/corpus/<hash>.json
 """
-
-from .campaign import CampaignResult, run_campaign
-from .cells import FuzzBatchResult, FuzzCellSpec
-from .corpus import TriageCorpus
-from .generator import FuzzProgram, TEMPLATE_NAMES, generate_programs
-from .harness import DifferentialResult, differential_check
-from .minimize import minimize_program
-
-__all__ = [
-    "CampaignResult",
-    "DifferentialResult",
-    "FuzzBatchResult",
-    "FuzzCellSpec",
-    "FuzzProgram",
-    "TEMPLATE_NAMES",
-    "TriageCorpus",
-    "differential_check",
-    "generate_programs",
-    "minimize_program",
-    "run_campaign",
-]

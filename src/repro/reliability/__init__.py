@@ -46,7 +46,6 @@ from .engine import (
     RunEngine,
     WallClockGuard,
     capture_metrics,
-    cell_id_for,
     is_ok,
 )
 from .faults import (
@@ -85,7 +84,6 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "capture_metrics",
-    "cell_id_for",
     "is_ok",
     "run_attempt",
 ]

@@ -15,6 +15,8 @@ as an isolated unit of work:
 * a **run journal** records every failed attempt as it happens and every
   finished cell (see :mod:`repro.reliability.journal`), so ``--resume``
   skips completed cells and continues the seed sequence of failed ones;
+  within one engine a cell that finished ok is never run again, so
+  experiments sharing an engine share their common cells;
 * **fault injection**: a :class:`~repro.reliability.faults.FaultSchedule`
   can be applied to cells matching a glob, to exercise all of the above
   deterministically.
@@ -417,6 +419,13 @@ class RunEngine:
         #: its worker pool instead of running them in-process.
         self.supervisor = supervisor
         self.outcomes = []
+        self._finished = {}  # cell id -> result of a cell finished ok
+
+    def add_outcome(self, outcome):
+        """Account a cell's final outcome; an ok one is served from now on."""
+        self.outcomes.append(outcome)
+        if outcome.ok:
+            self._finished[outcome.cell_id] = outcome.result
 
     # ------------------------------------------------------------ accounting
 
@@ -453,7 +462,17 @@ class RunEngine:
         )
 
     def cached_outcome(self, cell_id):
-        """The ``cached`` outcome of a cell ``--resume`` skips, or None."""
+        """The ``cached`` outcome of a cell that need not run, or None.
+
+        A cell this engine already finished ok is served whatever
+        ``resume`` says, so views of one matrix simulate it once; with
+        ``resume``, so is a cell the journal records as ok.  A failed
+        cell is re-attempted.
+        """
+        if cell_id in self._finished:
+            return CellOutcome(
+                cell_id, "cached", result=self._finished[cell_id]
+            )
         if not (self.resume and self.journal is not None):
             return None
         record = self.journal.get(cell_id)
@@ -493,7 +512,7 @@ class RunEngine:
                 **run.next_attempt(),
             )
             outcome = run.complete(run_attempt(request, contain=ReproError))
-        self.outcomes.append(outcome)
+        self.add_outcome(outcome)
         return outcome
 
     def run_specs(self, specs):
@@ -501,14 +520,14 @@ class RunEngine:
 
         With a :attr:`supervisor` attached the batch fans out over its
         worker pool (see :mod:`repro.reliability.supervisor`), otherwise
-        each cell runs serially in-process.
+        each cell runs serially in-process.  A cell listed twice runs,
+        and counts, once.
         """
         specs = list(specs)
         if self.supervisor is not None and self.supervisor.jobs > 1:
             return self.supervisor.run_specs(self, specs)
-        return [self.run_spec_cell(spec) for spec in specs]
-
-
-def cell_id_for(suite, app, scheme, consistency, seed):
-    """Canonical cell identity used in journals and ``--fault-cells`` globs."""
-    return f"{suite}:{app}:{scheme.value}:{consistency.value}:s{seed}"
+        outcomes = {}
+        for spec in specs:
+            if spec.cell_id not in outcomes:
+                outcomes[spec.cell_id] = self.run_spec_cell(spec)
+        return [outcomes[spec.cell_id] for spec in specs]

@@ -142,8 +142,11 @@ class Supervisor:
         if runs:
             self._execute(engine, runs, outcomes)
 
-        completed = [outcomes[cid] for cid in order if cid in outcomes]
-        engine.outcomes.extend(completed)
+        completed = [
+            outcomes[cid] for cid in dict.fromkeys(order) if cid in outcomes
+        ]
+        for outcome in completed:
+            engine.add_outcome(outcome)
         if self.drained or self.hard_abort:
             raise KeyboardInterrupt(
                 f"sweep drained: {len(completed)}/{len(order)} cells "

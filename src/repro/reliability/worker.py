@@ -24,42 +24,84 @@ suite and CI produce real worker deaths deterministically.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .. import runner
 from ..configs import ProcessorConfig
-from .engine import WallClockGuard, capture_metrics, cell_id_for
+from ..params import SystemParams
+from .engine import WallClockGuard, capture_metrics
 
 #: Seconds an idle worker waits for a task before checking that its
 #: parent is still alive.
 PARENT_CHECK_S = 0.5
+
+#: (name, default) of each config field a cell id hashes when it differs.
+_CONFIG_DEFAULTS = tuple(
+    (field.name, field.default)
+    for field in fields(ProcessorConfig)
+    if field.name not in ("scheme", "consistency")
+)
 
 
 @dataclass(frozen=True)
 class CellSpec:
     """Pickle-safe description of one experiment cell.
 
-    Carries everything needed to rebuild the ``run_spec``/``run_parsec``
-    call, in-process or in another process.
+    Carries everything that decides the cell's result, so the
+    ``run_spec``/``run_parsec`` call can be made in-process or in another
+    process, and :attr:`cell_id` names all of it.
     """
 
     suite: str  # "spec" | "parsec"
     app: str
-    scheme: object  # repro.configs.Scheme
-    consistency: object  # repro.configs.ConsistencyModel
+    config: ProcessorConfig
     seed: int = 0
     instructions: int = None
     sanitize: str = None
+    params: SystemParams = None  # None: the runner's suite default
 
     @property
     def cell_id(self):
-        return cell_id_for(
-            self.suite, self.app, self.scheme, self.consistency, self.seed
+        """``suite:app:scheme:consistency:sSEED``, then ``:i<instructions>``
+        when a window is set and ``:<10 hex>`` when anything else differs
+        from its default.
+
+        The hex suffix is the head of the SHA-256 of the canonical JSON of
+        the non-default fields (``sanitize``, the config's toggles and
+        protected PCs, ``params``), so the id is stable across processes
+        and ``PYTHONHASHSEED`` values, and globs like ``spec:mcf:IS-Sp:*``
+        still match.
+        """
+        config = self.config
+        cell = (
+            f"{self.suite}:{self.app}:{config.scheme.value}:"
+            f"{config.consistency.value}:s{self.seed}"
         )
+        if self.instructions is not None:
+            cell += f":i{self.instructions}"
+        overrides = {
+            name: getattr(config, name)
+            for name, default in _CONFIG_DEFAULTS
+            if getattr(config, name) != default
+        }
+        if "protected_pcs" in overrides:
+            overrides["protected_pcs"] = sorted(overrides["protected_pcs"])
+        if self.sanitize is not None:
+            overrides["sanitize"] = self.sanitize
+        if self.params is not None:
+            overrides["params"] = asdict(self.params)
+        if overrides:
+            canonical = json.dumps(
+                overrides, sort_keys=True, separators=(",", ":")
+            )
+            cell += ":" + hashlib.sha256(canonical.encode()).hexdigest()[:10]
+        return cell
 
     def run(self, seed, max_cycles, watchdog, faults, heartbeat=None):
         """Execute this cell at one attempt's seed and budget."""
@@ -69,19 +111,16 @@ class CellSpec:
         kwargs = {}
         if self.instructions is not None:
             kwargs["instructions"] = self.instructions
-        if self.sanitize is not None:
-            kwargs["sanitize"] = self.sanitize
-        config = ProcessorConfig(
-            scheme=self.scheme, consistency=self.consistency
-        )
         return fn(
             self.app,
-            config,
+            self.config,
             seed=seed,
+            params=self.params,
             max_cycles=max_cycles,
             watchdog=watchdog,
             heartbeat=heartbeat,
             faults=faults,
+            sanitize=self.sanitize,
             **kwargs,
         )
 

@@ -2,16 +2,14 @@
 
 ``run_spec`` / ``run_parsec`` build a system for one workload under one
 processor configuration and return the :class:`~repro.system.RunResult`.
-``run_matrix`` runs a workload under all five Table V configurations and
-returns results keyed by scheme, normalized against Base the way Figures
-4 and 6-8 report.
+A matrix of such runs (one workload under the five Table V
+configurations) is :func:`repro.experiments.figures.run_matrix`.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig
 from .cpu.branch import TournamentPredictor
 from .cpu.isa import OpKind
 from .params import SystemParams
@@ -165,55 +163,3 @@ def run_parsec(
         for core_id, core in enumerate(system.cores):
             _pretrain_predictor(core, profile, seed, core_id, pretrain_ops)
     return system.run(max_cycles=max_cycles)
-
-
-def run_matrix(
-    name,
-    suite="spec",
-    consistency=ConsistencyModel.TSO,
-    instructions=None,
-    seed=0,
-    schemes=ALL_SCHEMES,
-):
-    """Run a workload under the Table V configurations.
-
-    Returns ``{scheme: RunResult}``.
-    """
-    results = {}
-    for scheme in schemes:
-        config = ProcessorConfig(scheme=scheme, consistency=consistency)
-        if suite == "spec":
-            results[scheme] = run_spec(
-                name,
-                config,
-                instructions=instructions or DEFAULT_SPEC_INSTRUCTIONS,
-                seed=seed,
-            )
-        elif suite == "parsec":
-            results[scheme] = run_parsec(
-                name,
-                config,
-                instructions=instructions or DEFAULT_PARSEC_INSTRUCTIONS,
-                seed=seed,
-            )
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
-    return results
-
-
-def normalized_execution_time(results):
-    """Cycles of each scheme normalized to Base (Figure 4/7 y-axis)."""
-    base = results[ALL_SCHEMES[0]].cycles
-    return {
-        scheme: result.cycles / max(base, 1)
-        for scheme, result in results.items()
-    }
-
-
-def normalized_traffic(results):
-    """NoC bytes of each scheme normalized to Base (Figure 6/8 y-axis)."""
-    base = results[ALL_SCHEMES[0]].traffic_bytes
-    return {
-        scheme: result.traffic_bytes / max(base, 1)
-        for scheme, result in results.items()
-    }

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..configs import ConsistencyModel, Scheme
+from ..configs import ConsistencyModel, ProcessorConfig, Scheme
 from ..errors import ConfigError, WorkloadError
 from ..fuzz.cells import FuzzCellSpec
 from ..fuzz.generator import FuzzProgram
@@ -300,8 +300,10 @@ class JobRequest:
             spec = CellSpec(
                 suite=p["suite"],
                 app=p["app"],
-                scheme=_SCHEMES[p["scheme"]],
-                consistency=_CONSISTENCY[p["consistency"]],
+                config=ProcessorConfig(
+                    scheme=_SCHEMES[p["scheme"]],
+                    consistency=_CONSISTENCY[p["consistency"]],
+                ),
                 seed=p["seed"],
                 instructions=p["instructions"],
                 sanitize=p["sanitize"],

@@ -2,8 +2,11 @@
 
 Figures 4 and 6 render the same SPEC cells, so ``figure6 --resume``
 after ``figure4`` must serve every cell from the journal, and ``all``
-must simulate the matrix once.
+must simulate the matrix once, with or without a journal.  A cell's id
+names its window, so a resume at another window serves nothing.
 """
+
+import json
 
 import pytest
 
@@ -40,15 +43,21 @@ def test_figure6_resumes_every_cell_from_figure4s_journal(tmp_path, capsys):
     assert not list(tmp_path.glob("figure*"))
 
 
-def test_all_simulates_each_matrix_once(tmp_path, capsys, monkeypatch):
+def _count_run_spec(monkeypatch):
     calls = []
     real = runner.run_spec
 
     def counted(app, config, **kwargs):
-        calls.append((app, config.scheme, config.consistency))
+        calls.append((app, config.scheme, config.consistency,
+                      kwargs.get("instructions")))
         return real(app, config, **kwargs)
 
     monkeypatch.setattr(runner, "run_spec", counted)
+    return calls
+
+
+def test_all_simulates_each_matrix_once(tmp_path, capsys, monkeypatch):
+    calls = _count_run_spec(monkeypatch)
     monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {
         name: ALL_EXPERIMENTS[name] for name in ("figure4", "figure6")
     })
@@ -56,6 +65,40 @@ def test_all_simulates_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == len(set(calls)) == 5
     assert "Figure 4" in out and "Figure 6" in out
+
+
+def test_all_without_a_journal_simulates_each_matrix_once(
+    tmp_path, capsys, monkeypatch
+):
+    calls = _count_run_spec(monkeypatch)
+    monkeypatch.setattr(cli, "ALL_EXPERIMENTS", {
+        name: ALL_EXPERIMENTS[name] for name in ("figure4", "figure6")
+    })
+    code, out = _run(capsys, "all", *SMALL, "--no-journal")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 5
+    assert "Figure 4" in out and "Figure 6" in out
+
+
+def test_resume_at_another_window_resimulates_every_cell(
+    tmp_path, capsys, monkeypatch
+):
+    journals = ["--journal-dir", str(tmp_path)]
+    longer = ["--apps", "mcf", "--instructions", "400", "--no-rc"]
+    assert _run(capsys, "figure4", *SMALL, *journals)[0] == 0
+    fresh = _run(capsys, "figure4", *longer, "--no-journal")
+
+    calls = _count_run_spec(monkeypatch)
+    resumed = _run(capsys, "figure4", *longer, *journals, "--resume")
+    assert resumed == fresh
+    assert len(calls) == len(set(calls)) == 5
+    assert {call[3] for call in calls} == {400}
+
+    cells = json.loads((tmp_path / "spec-matrix.json").read_text())["cells"]
+    windows = sorted(
+        cell["metrics"]["instructions"] for cell in cells.values()
+    )
+    assert windows == [300] * 5 + [400] * 5
 
 
 @pytest.mark.parametrize("name, journal", [

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.fuzz import run_campaign
+from repro.fuzz.campaign import run_campaign
 from repro.fuzz.corpus import TriageCorpus
 from repro.fuzz.generator import FuzzProgram
 

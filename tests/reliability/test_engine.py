@@ -15,9 +15,9 @@ from repro.reliability import (
     RunEngine,
     RunJournal,
     capture_metrics,
-    cell_id_for,
     is_ok,
 )
+from repro.reliability.worker import CellSpec
 from repro.reliability.engine import DEFAULT_SEED_STEP
 from repro.runner import run_spec
 
@@ -330,9 +330,11 @@ class TestJournalAndResume:
         assert again == [1 * DEFAULT_SEED_STEP]
 
     def test_cell_id_format(self):
-        cell = cell_id_for(
-            "spec", "mcf", Scheme.IS_SPECTRE, ConsistencyModel.TSO, 0
-        )
+        cell = CellSpec(
+            "spec", "mcf", ProcessorConfig(
+                scheme=Scheme.IS_SPECTRE, consistency=ConsistencyModel.TSO
+            ), 0,
+        ).cell_id
         assert cell == "spec:mcf:IS-Sp:TSO:s0"
 
 
@@ -371,7 +373,7 @@ class TestFigure4Acceptance:
         assert "×" not in hmmer_row
         assert len(engine.failures) == 1
         failed_id = engine.failures[0].cell_id
-        assert failed_id == "spec:mcf:IS-Sp:TSO:s0"
+        assert failed_id == "spec:mcf:IS-Sp:TSO:s0:i600"
         assert engine.exit_code == 1
 
         # The failure is journaled with its error class and fault log.

@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.runner
-from repro.configs import ConsistencyModel, Scheme
+from repro.configs import ProcessorConfig, Scheme
 from repro.errors import WorkerCrashError
 from repro.reliability import (
     CellSpec,
@@ -37,7 +37,7 @@ SRC = os.path.join(
 
 
 def _cell(app, **kwargs):
-    return CellSpec("spec", app, Scheme.BASE, ConsistencyModel.TSO, **kwargs)
+    return CellSpec("spec", app, ProcessorConfig(scheme=Scheme.BASE), **kwargs)
 
 
 class _FakeCounters:

@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.runner
-from repro.configs import ConsistencyModel, Scheme
+from repro.configs import ProcessorConfig, Scheme
 from repro.errors import SimTimeoutError
 from repro.reliability import (
     CellSpec,
@@ -36,7 +36,7 @@ SRC = os.path.join(REPO, "src")
 
 def _cells(apps, schemes=(Scheme.BASE,), **kwargs):
     return [
-        CellSpec("spec", app, scheme, ConsistencyModel.TSO, **kwargs)
+        CellSpec("spec", app, ProcessorConfig(scheme=scheme), **kwargs)
         for app in apps
         for scheme in schemes
     ]
@@ -300,7 +300,7 @@ class TestCrashIsolation:
         # reach the supervisor and fail the cell exactly like the serial
         # engine: journaled report, failed status, no retry.
         spec = CellSpec(
-            "parsec", "fluidanimate", Scheme.BASE, ConsistencyModel.TSO,
+            "parsec", "fluidanimate", ProcessorConfig(scheme=Scheme.BASE),
             instructions=600, sanitize="record",
         )
         schedule = FaultSchedule.parse(["inv.drop:nth=1"])
@@ -370,11 +370,11 @@ class TestSubprocessSupervision:
     DRIVER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.configs import ConsistencyModel, Scheme
+from repro.configs import ProcessorConfig, Scheme
 from repro.reliability import CellSpec, RunEngine, RunJournal, Supervisor
 
 specs = [
-    CellSpec("spec", app, Scheme.BASE, ConsistencyModel.TSO,
+    CellSpec("spec", app, ProcessorConfig(scheme=Scheme.BASE),
              instructions=8000)
     for app in ("mcf", "hmmer", "bzip2", "sjeng")
 ]

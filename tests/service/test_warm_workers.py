@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.configs import ConsistencyModel, Scheme
+from repro.configs import ProcessorConfig, Scheme
 from repro.fuzz.cells import FuzzCellSpec
 from repro.fuzz.generator import generate_programs
 from repro.reliability.worker import CellSpec
@@ -138,7 +138,7 @@ def test_service_workers_first_jobs_import_nothing():
     [
         (
             "repro.reliability.worker",
-            CellSpec("spec", "mcf", Scheme.IS_FUTURE, ConsistencyModel.TSO,
+            CellSpec("spec", "mcf", ProcessorConfig(scheme=Scheme.IS_FUTURE),
                      instructions=200),
         ),
         (

@@ -24,18 +24,6 @@ class TestScheme:
         assert not Scheme.BASE.is_invisispec
         assert not Scheme.FENCE_SPECTRE.is_invisispec
 
-    def test_fence_flags(self):
-        assert Scheme.FENCE_SPECTRE.is_fence
-        assert Scheme.FENCE_FUTURE.is_fence
-        assert not Scheme.IS_SPECTRE.is_fence
-
-    def test_attack_models(self):
-        assert Scheme.BASE.attack_model is None
-        assert Scheme.FENCE_SPECTRE.attack_model == "spectre"
-        assert Scheme.IS_SPECTRE.attack_model == "spectre"
-        assert Scheme.FENCE_FUTURE.attack_model == "futuristic"
-        assert Scheme.IS_FUTURE.attack_model == "futuristic"
-
 
 class TestProcessorConfig:
     def test_defaults(self):

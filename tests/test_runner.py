@@ -1,14 +1,7 @@
 """Runner helper tests (small instruction budgets)."""
 
-from repro import ConsistencyModel, ProcessorConfig, Scheme
-from repro.configs import ALL_SCHEMES
-from repro.runner import (
-    normalized_execution_time,
-    normalized_traffic,
-    run_matrix,
-    run_parsec,
-    run_spec,
-)
+from repro import ProcessorConfig
+from repro.runner import run_parsec, run_spec
 
 
 class TestRunSpec:
@@ -30,33 +23,3 @@ class TestRunParsec:
         assert len(result.cores) == 8
         assert result.instructions == 8 * 250
 
-
-class TestRunMatrix:
-    def test_matrix_covers_schemes(self):
-        results = run_matrix(
-            "hmmer",
-            instructions=600,
-            schemes=(Scheme.BASE, Scheme.IS_FUTURE),
-        )
-        assert set(results) == {Scheme.BASE, Scheme.IS_FUTURE}
-
-    def test_normalizations_anchor_base_at_one(self):
-        results = run_matrix(
-            "hmmer",
-            instructions=600,
-            schemes=(Scheme.BASE, Scheme.IS_SPECTRE),
-        )
-        exec_norm = normalized_execution_time(results)
-        traffic_norm = normalized_traffic(results)
-        assert exec_norm[Scheme.BASE] == 1.0
-        assert traffic_norm[Scheme.BASE] == 1.0
-        assert exec_norm[Scheme.IS_SPECTRE] > 0
-
-    def test_rc_matrix_runs(self):
-        results = run_matrix(
-            "hmmer",
-            consistency=ConsistencyModel.RC,
-            instructions=600,
-            schemes=(Scheme.BASE, Scheme.IS_FUTURE),
-        )
-        assert results[Scheme.IS_FUTURE].cycles > 0

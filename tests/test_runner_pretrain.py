@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import ProcessorConfig, Scheme, runner
+from repro import ConsistencyModel, ProcessorConfig, Scheme, runner
 from repro.cpu.branch import TournamentPredictor
+from repro.experiments import figures
 from repro.runner import DEFAULT_PRETRAIN_OPS, run_spec
 from repro.workloads import PARSEC_PROFILES, SPEC_PROFILES
 
@@ -181,8 +182,10 @@ class TestPretrainMemo:
             return walk(*args)
 
         monkeypatch.setattr(runner, "_walk_predictor", counted)
-        results = runner.run_matrix("mcf", instructions=300)
-        assert len(results) == 5
+        matrix = figures.run_matrix(
+            "spec", apps=["mcf"], instructions=300, include_rc=False
+        )
+        assert len(matrix[ConsistencyModel.TSO]["mcf"]) == 5
         assert walks == [
             (SPEC_PROFILES["mcf"], 0, 0, DEFAULT_PRETRAIN_OPS)
         ]
