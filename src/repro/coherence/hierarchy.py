@@ -39,6 +39,7 @@ from ..mem.cache import CacheArray
 from ..mem.dram import DRAMModel
 from ..mem.mshr import MSHRFile
 from ..network.noc import NoC, TrafficCategory
+from ..sim.events import cancelled
 from .directory import Directory
 from .mesi import MESIState
 from .protocol import DirOutcome, L1Event, apply_l1_event, route_request
@@ -46,7 +47,9 @@ from .requests import AccessResult, MemRequest, RequestKind
 
 # Enum members read on every transaction, bound once: a class attribute
 # read of an enum member costs a descriptor call.
-_INVALID = MESIState.INVALID
+_INVALID, _SHARED, _MODIFIED = (
+    MESIState.INVALID, MESIState.SHARED, MESIState.MODIFIED,
+)
 _STORE, _SPEC_LOAD = RequestKind.STORE, RequestKind.SPEC_LOAD
 _VISIBILITY_KINDS = (RequestKind.VALIDATE, RequestKind.EXPOSE)
 _L1_HIT, _STORE_UPGRADE = DirOutcome.L1_HIT, DirOutcome.STORE_UPGRADE
@@ -69,7 +72,8 @@ __all__ = [
 
 class _KindInfo:
     """Per-:class:`RequestKind` constants, built once at import: the
-    kind's traffic category and its ``hierarchy.*`` counter names."""
+    kind's traffic category and its ``hierarchy.*`` counter names.
+    ``_KIND_INFO[kind.index]`` looks one up without hashing the Enum."""
 
     __slots__ = (
         "category", "requests", "l1_hits", "l1_misses",
@@ -82,18 +86,18 @@ class _KindInfo:
             setattr(self, field, f"hierarchy.{field}.{kind.value}")
 
 
-_KIND_INFO = {
-    kind: _KindInfo(kind, category)
-    for kind, category in (
-        (RequestKind.LOAD, TrafficCategory.NORMAL),
-        (RequestKind.STORE, TrafficCategory.NORMAL),
-        (RequestKind.PREFETCH, TrafficCategory.NORMAL),
-        (RequestKind.SPEC_LOAD, TrafficCategory.SPECLOAD),
-        (RequestKind.SPEC_PREFETCH, TrafficCategory.SPECLOAD),
-        (RequestKind.VALIDATE, TrafficCategory.EXPOSE_VALIDATE),
-        (RequestKind.EXPOSE, TrafficCategory.EXPOSE_VALIDATE),
-    )
+_CATEGORY_OF_KIND = {
+    RequestKind.LOAD: TrafficCategory.NORMAL,
+    RequestKind.STORE: TrafficCategory.NORMAL,
+    RequestKind.PREFETCH: TrafficCategory.NORMAL,
+    RequestKind.SPEC_LOAD: TrafficCategory.SPECLOAD,
+    RequestKind.SPEC_PREFETCH: TrafficCategory.SPECLOAD,
+    RequestKind.VALIDATE: TrafficCategory.EXPOSE_VALIDATE,
+    RequestKind.EXPOSE: TrafficCategory.EXPOSE_VALIDATE,
 }
+_KIND_INFO = tuple(
+    _KindInfo(kind, _CATEGORY_OF_KIND[kind]) for kind in RequestKind
+)
 
 
 #: Part of the L2 round trip charged before the directory/tag lookup.
@@ -117,6 +121,9 @@ class CacheHierarchy:
         self.kernel = kernel
         self.image = image
         self.space = image.space
+        # log2 of the line size: the request path aligns addresses and
+        # picks banks with shifts instead of AddressSpace calls.
+        self._line_shift = self.space.line_bytes.bit_length() - 1
         self.counters = counters
         self._counts = counters.counts
         #: Optional FaultInjector shared with the NoC, DRAM and kernel;
@@ -152,6 +159,10 @@ class CacheHierarchy:
             1, int(params.l2_bank.round_trip_latency * _L2_TAG_FRACTION)
         )
         self._bank_free = [0] * self.num_banks
+        # Mesh node of each bank and core (bank i and core i share node i).
+        nodes = params.network.num_nodes
+        self._bank_nodes = [bank % nodes for bank in range(self.num_banks)]
+        self._core_nodes = [core % nodes for core in range(params.num_cores)]
         self._mem_node = 0
 
     # ------------------------------------------------------------------ wiring
@@ -175,19 +186,15 @@ class CacheHierarchy:
     # ------------------------------------------------------------- geometry
 
     def bank_of(self, line_addr):
-        return self.space.line_index(line_addr) % self.num_banks
-
-    def _bank_node(self, bank):
-        return bank % self.params.network.num_nodes
-
-    def _core_node(self, core_id):
-        return core_id % self.params.network.num_nodes
+        return (line_addr >> self._line_shift) % self.num_banks
 
     # ------------------------------------------------------------- port model
 
     def _bank_slot(self, bank, arrival):
         """Serialize transactions through a bank's single port."""
-        start = max(arrival, self._bank_free[bank])
+        start = self._bank_free[bank]
+        if start < arrival:
+            start = arrival
         self._bank_free[bank] = start + self.BANK_OCCUPANCY
         self._counts["l2.bank_queue_cycles"] += start - arrival
         return start
@@ -218,7 +225,8 @@ class CacheHierarchy:
 
     def _process(self, req):
         now = self.kernel.cycle
-        line = self.space.line_of(req.addr)
+        shift = self._line_shift
+        line = (req.addr >> shift) << shift
         core_id = req.core_id
         # The first cycle >= now with a free port of this core's L1.
         port = self._l1_ports[core_id]
@@ -232,7 +240,7 @@ class CacheHierarchy:
             port[1] = 1
         slot = port[0]
         kind = req.kind
-        info = _KIND_INFO[kind]
+        info = _KIND_INFO[kind.index]
         first_attempt = not req.accounted
         if first_attempt:
             req.accounted = True
@@ -276,12 +284,12 @@ class CacheHierarchy:
             counts = self._counts
             counts["hierarchy.mshr_merges"] += 1
             if first_attempt:
-                counts[_KIND_INFO[req.kind].l1_misses_secondary] += 1
+                counts[_KIND_INFO[req.kind.index].l1_misses_secondary] += 1
             return
         if first_attempt:
             if req.kind is not _STORE:
                 self.l1s[req.core_id].stat_misses += 1
-            self._counts[_KIND_INFO[req.kind].l1_misses] += 1
+            self._counts[_KIND_INFO[req.kind.index].l1_misses] += 1
         if existing is not None:
             # Program-order or kind-class conflict: issue an independent
             # transaction (extra Spec-GetS in flight for the same line are
@@ -328,10 +336,10 @@ class CacheHierarchy:
 
     def _transaction_steps(self, req, line, slot):
         kind = req.kind
-        cat = _KIND_INFO[kind].category
+        cat = _KIND_INFO[kind.index].category
         bank = self.bank_of(line)
-        core_node = self._core_node(req.core_id)
-        bank_node = self._bank_node(bank)
+        core_node = self._core_nodes[req.core_id]
+        bank_node = self._bank_nodes[bank]
 
         arrive = slot + self.noc.send(core_node, bank_node, False, cat)
         t_bank = self._bank_slot(bank, arrive)
@@ -362,9 +370,9 @@ class CacheHierarchy:
     def _remote_owner_path(self, req, line, slot, bank, dentry, t_dir, cat, outcome):
         kind = req.kind
         owner = dentry.owner
-        bank_node = self._bank_node(bank)
-        owner_node = self._core_node(owner)
-        core_node = self._core_node(req.core_id)
+        bank_node = self._bank_nodes[bank]
+        owner_node = self._core_nodes[owner]
+        core_node = self._core_nodes[req.core_id]
 
         if outcome is _SPEC_BOUNCE:
             # The owner is losing the line: bounce the Spec-GetS.
@@ -384,7 +392,7 @@ class CacheHierarchy:
         t_owner = t_dir + fwd_lat + self.params.l1d.round_trip_latency
         data_lat = self.noc.send(owner_node, core_node, True, cat)
         ready = t_owner + data_lat
-        self._counts[_KIND_INFO[kind].remote_l1] += 1
+        self._counts[_KIND_INFO[kind.index].remote_l1] += 1
 
         if kind is _STORE:
             # GetX: the owner is invalidated; ownership moves.
@@ -418,11 +426,11 @@ class CacheHierarchy:
 
     def _l2_hit_path(self, req, line, bank, t_bank, cat):
         kind = req.kind
-        bank_node = self._bank_node(bank)
-        core_node = self._core_node(req.core_id)
+        bank_node = self._bank_nodes[bank]
+        core_node = self._core_nodes[req.core_id]
         self.l2[bank].lookup(line, touch=not kind.invisible)
         self.l2[bank].stat_hits += 1
-        self._counts[_KIND_INFO[kind].l2_hits] += 1
+        self._counts[_KIND_INFO[kind.index].l2_hits] += 1
         data_lat = self.noc.send(bank_node, core_node, True, cat)
         ready = t_bank + self.params.l2_bank.round_trip_latency + data_lat
 
@@ -431,7 +439,7 @@ class CacheHierarchy:
             if ready is None:
                 return  # acks lost (fault injection): the store never performs
             self.dirs[bank].set_owner(line, req.core_id)
-            self._purge_llc_sbs(line, except_core=None)
+            self._purge_llc_sbs(line)
             self._note_line(line, "store_l2_hit", core_id=req.core_id)
             self._finish_store(req, ready, "l2", cat)
             return
@@ -447,10 +455,10 @@ class CacheHierarchy:
 
     def _memory_path(self, req, line, bank, t_dir, cat):
         kind = req.kind
-        bank_node = self._bank_node(bank)
-        core_node = self._core_node(req.core_id)
+        bank_node = self._bank_nodes[bank]
+        core_node = self._core_nodes[req.core_id]
         self.l2[bank].stat_misses += 1
-        self._counts[_KIND_INFO[kind].l2_misses] += 1
+        self._counts[_KIND_INFO[kind.index].l2_misses] += 1
 
         # Validation/exposure first checks the requester's LLC-SB.
         if kind in _VISIBILITY_KINDS and self.llc_sbs:
@@ -461,7 +469,7 @@ class CacheHierarchy:
                 ready = t_dir + llc_sb.access_latency + data_lat
                 self._fill_l2(bank, line, t_dir, cat)
                 self.dirs[bank].add_sharer(line, req.core_id)
-                self._purge_llc_sbs(line, except_core=None)
+                self._purge_llc_sbs(line)
                 self._schedule_visible_fill(req, line, ready, "llc_sb", cat)
                 return
             self._counts["invisispec.llc_sb_misses"] += 1
@@ -472,7 +480,7 @@ class CacheHierarchy:
         t_back = dram_done + mem_data_lat
         data_lat = self.noc.send(bank_node, core_node, True, cat)
         ready = t_back + data_lat
-        self._counts[_KIND_INFO[kind].dram] += 1
+        self._counts[_KIND_INFO[kind.index].dram] += 1
 
         if kind.invisible:
             # No fills anywhere; deposit a copy in the requester's LLC-SB.
@@ -485,7 +493,7 @@ class CacheHierarchy:
 
         # A visible access that misses in the LLC purges the line from every
         # core's LLC-SB (Section VI-C).
-        self._purge_llc_sbs(line, except_core=None)
+        self._purge_llc_sbs(line)
         self._fill_l2(bank, line, t_back, cat)
 
         if kind is _STORE:
@@ -501,10 +509,10 @@ class CacheHierarchy:
 
     def _upgrade(self, req, line, slot):
         """Store hit in S: acquire ownership, invalidating other sharers."""
-        cat = _KIND_INFO[req.kind].category
+        cat = _KIND_INFO[req.kind.index].category
         bank = self.bank_of(line)
-        bank_node = self._bank_node(bank)
-        core_node = self._core_node(req.core_id)
+        bank_node = self._bank_nodes[bank]
+        core_node = self._core_nodes[req.core_id]
         arrive = slot + self.noc.send(core_node, bank_node, False, cat)
         t_bank = self._bank_slot(bank, arrive)
         ack_lat = self.noc.send(bank_node, core_node, False, cat)
@@ -516,7 +524,7 @@ class CacheHierarchy:
         entry = self.l1s[req.core_id].lookup(line, touch=False)
         if entry is not None:
             entry.state = apply_l1_event(entry.state, L1Event.UPGRADE)
-        self._purge_llc_sbs(line, except_core=None)
+        self._purge_llc_sbs(line)
         self._counts["hierarchy.upgrades"] += 1
         self._note_line(line, "store_upgrade", core_id=req.core_id)
         self._finish_store(req, ready, "upgrade", cat)
@@ -532,11 +540,11 @@ class CacheHierarchy:
         the transaction (no completion is scheduled) in that case.
         """
         directory = self.dirs[bank]
-        bank_node = self._bank_node(bank)
+        bank_node = self._bank_nodes[bank]
         others = directory.sharers_other_than(line, req.core_id)
         worst_ack = ready
         for sharer in others:
-            deliver_lat = self.noc.send(bank_node, self._core_node(sharer), False, cat)
+            deliver_lat = self.noc.send(bank_node, self._core_nodes[sharer], False, cat)
             deliver_at = t_bank + deliver_lat
             if self.faults is not None and self.faults.fire("inv.drop") is not None:
                 # The Inv is lost but its ack is spuriously counted: the
@@ -548,7 +556,7 @@ class CacheHierarchy:
                 directory.remove_core(line, sharer)
                 continue
             self._deliver_invalidation(sharer, line, deliver_at, cat, "coherence")
-            ack_lat = self.noc.send(self._core_node(sharer), bank_node, False, cat)
+            ack_lat = self.noc.send(self._core_nodes[sharer], bank_node, False, cat)
             worst_ack = max(worst_ack, deliver_at + ack_lat)
             directory.remove_core(line, sharer)
         self._counts["coherence.invalidations_sent"] += len(others)
@@ -579,7 +587,7 @@ class CacheHierarchy:
         # kernel.event_drop fault will never fire: skip registering it, so
         # the pending counter cannot leak (the lost Inv then surfaces as the
         # coherence violation it really is).
-        if self.monitor is not None and not handle.cancelled:
+        if self.monitor is not None and not cancelled(handle):
             self.monitor.on_inv_scheduled(core_id, line)
 
     def _schedule_visible_fill(self, req, line, ready, level, cat):
@@ -602,7 +610,7 @@ class CacheHierarchy:
                 # read demoted the copy to S while the store was in flight.
                 event = (
                     L1Event.UPGRADE
-                    if existing.state is MESIState.SHARED
+                    if existing.state is _SHARED
                     else L1Event.FILL_MODIFIED
                 )
                 existing.state = apply_l1_event(existing.state, event)
@@ -632,7 +640,7 @@ class CacheHierarchy:
             else:
                 event = L1Event.FILL_EXCLUSIVE
                 self.dirs[bank].set_owner(line, core_id)
-            state = apply_l1_event(MESIState.INVALID, event)
+            state = apply_l1_event(_INVALID, event)
         _entry, victim = l1.insert(line, state)
         if victim is not None:
             self._handle_l1_eviction(core_id, victim, cat)
@@ -645,7 +653,7 @@ class CacheHierarchy:
         directory.remove_core(vline, core_id)
         if victim.state.dirty:
             self.noc.send(
-                self._core_node(core_id), self._bank_node(vbank), True, cat
+                self._core_nodes[core_id], self._bank_nodes[vbank], True, cat
             )
             entry = directory.entry(vline, create=True)
             entry.wb_pending_until = self.kernel.cycle + self.WRITEBACK_DELAY
@@ -661,7 +669,7 @@ class CacheHierarchy:
         l2 = self.l2[bank]
         if l2.contains(line):
             return
-        _entry, victim = l2.insert(line, MESIState.SHARED)
+        _entry, victim = l2.insert(line, _SHARED)
         if victim is None:
             self._note_line(line, "l2_fill")
             return
@@ -676,25 +684,24 @@ class CacheHierarchy:
                 holders.add(dentry.owner)
             for core_id in sorted(holders):
                 lat = self.noc.send(
-                    self._bank_node(bank), self._core_node(core_id), False, cat
+                    self._bank_nodes[bank], self._core_nodes[core_id], False, cat
                 )
                 self._deliver_invalidation(
                     core_id, vline, at_cycle + lat, cat, "l2_evict"
                 )
             directory.drop(vline)
         # Stale LLC-SB copies of the victim can no longer be trusted.
-        self._purge_llc_sbs(vline, except_core=None)
-        self.noc.send(self._bank_node(bank), self._mem_node, True, cat)
+        self._purge_llc_sbs(vline)
+        self.noc.send(self._bank_nodes[bank], self._mem_node, True, cat)
         self._counts["coherence.l2_evictions"] += 1
         self._note_line(vline, "l2_eviction")
         self._note_line(line, "l2_fill")
 
-    def _purge_llc_sbs(self, line, except_core):
+    def _purge_llc_sbs(self, line):
+        """Drop ``line`` from every core's LLC-SB."""
         if not self.llc_sbs:
             return
-        for core_id, llc_sb in enumerate(self.llc_sbs):
-            if except_core is not None and core_id == except_core:
-                continue
+        for llc_sb in self.llc_sbs:
             llc_sb.invalidate_line(line)
 
     # ------------------------------------------------------------ completion
@@ -730,14 +737,14 @@ class CacheHierarchy:
             now = self.kernel.cycle
             for sharer in directory.sharers_other_than(line, req.core_id):
                 lat = self.noc.send(
-                    self._bank_node(bank), self._core_node(sharer), False, cat
+                    self._bank_nodes[bank], self._core_nodes[sharer], False, cat
                 )
                 self._deliver_invalidation(sharer, line, now + lat, cat, "coherence")
                 directory.remove_core(line, sharer)
                 self._counts["coherence.invalidations_sent"] += 1
             directory.set_owner(line, req.core_id)
             self.image.write(req.addr, req.size, req.store_value)
-            self._fill_l1(req.core_id, line, cat, state=MESIState.MODIFIED)
+            self._fill_l1(req.core_id, line, cat, state=_MODIFIED)
             self._note_line(line, "store_performed", core_id=req.core_id)
             result = AccessResult(level, None, 0, now)
             self._release_own_mshr(req)

@@ -25,3 +25,10 @@ class MESIState(enum.Enum):
         self.writable = value in ("M", "E")
         #: M must be written back on eviction.
         self.dirty = value == "M"
+
+
+# Dense member numbers, for tables indexed without hashing an Enum member
+# (:func:`repro.coherence.protocol.apply_l1_event`).
+for _index, _state in enumerate(MESIState):
+    _state.index = _index
+del _index, _state

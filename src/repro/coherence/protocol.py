@@ -50,6 +50,11 @@ class L1Event(enum.Enum):
     SPEC_PROBE = "spec_probe"  # Spec-GetS touches the copy: identity
 
 
+for _index, _event in enumerate(L1Event):
+    _event.index = _index
+del _index, _event
+
+
 M, E, S, I = (
     MESIState.MODIFIED,
     MESIState.EXCLUSIVE,
@@ -86,14 +91,24 @@ L1_TRANSITIONS = {
 }
 
 
+#: :data:`L1_TRANSITIONS` as ``_NEXT_STATE[state.index][event.index]``
+#: (``None`` where undefined): the simulator applies an L1 event on every
+#: fill, store hit and demotion, and a dict keyed by Enum members would
+#: call the Python-level ``Enum.__hash__`` twice per lookup.
+_NEXT_STATE = tuple(
+    tuple(L1_TRANSITIONS.get((state, event)) for event in L1Event)
+    for state in MESIState
+)
+
+
 def apply_l1_event(state, event):
     """Next L1 state for ``event``; raises ProtocolError if undefined."""
-    try:
-        return L1_TRANSITIONS[(state, event)]
-    except KeyError:
+    next_state = _NEXT_STATE[state.index][event.index]
+    if next_state is None:
         raise ProtocolError(
             f"undefined L1 transition: {state.name} x {event.value}"
-        ) from None
+        )
+    return next_state
 
 
 class DirOutcome(enum.Enum):

@@ -31,6 +31,14 @@ class RequestKind(enum.Enum):
         self.visible_read = value in ("load", "validate", "expose", "prefetch")
 
 
+# Dense member numbers: per-kind tables on the request path are tuples
+# indexed by ``kind.index``, since a dict lookup keyed by an Enum member
+# calls the Python-level ``Enum.__hash__``.
+for _index, _kind in enumerate(RequestKind):
+    _kind.index = _index
+del _index, _kind
+
+
 class MemRequest:
     """One memory transaction submitted by a core."""
 

@@ -83,7 +83,7 @@ from .lsq import (
     StoreQueue,
 )
 from .rob import ROBEntry, ReorderBuffer
-from .tracking import LazyMinTracker
+from .tracking import LazyMinTracker, SquashPoint, SquashTracker
 from .trace import ReplayStream
 
 # Enum members read per op, bound once: a class attribute read of an enum
@@ -194,11 +194,22 @@ class Core:
         self._sb_waiters = {}  # lq virtual index -> [ROBEntry]
         self._interrupt_protect_seq = None
 
-        self._branch_tracker = LazyMinTracker(lambda e: not e.resolved)
-        self._exceptable_tracker = LazyMinTracker(self._exceptable_active)
-        self._store_tracker = LazyMinTracker(lambda e: e.state != "retired")
-        self._unvalidated_tracker = LazyMinTracker(self._unvalidated_active)
-        self._fence_tracker = LazyMinTracker(lambda e: not e.fence_done)
+        # The five Section VIII conditions (i)-(v) under which an older
+        # instruction can still squash a load, and their cached minimum.
+        point = self.squash_point = SquashPoint()
+        self._branch_tracker = SquashTracker(lambda e: not e.resolved, point)
+        self._exceptable_tracker = SquashTracker(self._exceptable_active, point)
+        self._store_tracker = SquashTracker(
+            lambda e: e.state != "retired", point
+        )
+        self._unvalidated_tracker = SquashTracker(
+            self._unvalidated_active, point
+        )
+        self._fence_tracker = SquashTracker(lambda e: not e.fence_done, point)
+        #: Seq of the oldest instruction that can still squash a younger
+        #: one, or ``None``: IS-Future's visibility point (bound once; it
+        #: runs on every USL issue, visibility scan and deferred-TLB tick).
+        self.min_squashing_seq = point.min_seq
         self._sync_tracker = LazyMinTracker(lambda e: e.state != "retired")
         # Loads whose TLB miss deferred them to their visibility point.  A
         # retired entry no longer points at its (dead) LQ entry.
@@ -269,15 +280,6 @@ class Core:
 
     def min_unresolved_branch_seq(self):
         return self._branch_tracker.min_seq()
-
-    def min_exceptable_seq(self):
-        return self._exceptable_tracker.min_seq()
-
-    def min_uncommitted_store_seq(self):
-        return self._store_tracker.min_seq()
-
-    def min_unvalidated_load_seq(self):
-        return self._unvalidated_tracker.min_seq()
 
     def min_incomplete_fence_seq(self):
         return self._fence_tracker.min_seq()
@@ -904,10 +906,9 @@ class Core:
     def _tick_deferred_loads(self, now):
         """IS loads whose TLB miss deferred them to the visibility point:
         the oldest one walks the TLB once it becomes visible."""
-        seq = self._deferred_tracker.min_seq()
-        if seq is None:
+        entry = self._deferred_tracker.min_entry()
+        if entry is None:
             return
-        entry = self._live_by_seq[seq]
         lq_entry = entry.lq_entry
         if not self.policy.visible_now(self, lq_entry):
             return

@@ -36,6 +36,7 @@ class LoadQueueEntry:
     __slots__ = (
         "index",
         "rob",
+        "seq",
         "addr",
         "size",
         "line_addr",
@@ -57,6 +58,8 @@ class LoadQueueEntry:
     def __init__(self, index, rob_entry, epoch):
         self.index = index
         self.rob = rob_entry
+        #: The load's ROB seq, copied: the visibility scans read it often.
+        self.seq = rob_entry.seq
         self.addr = None
         self.size = 0
         self.line_addr = None
@@ -73,10 +76,6 @@ class LoadQueueEntry:
         self.epoch = epoch
         self.issue_cycle = None
         self.visibility_issue_cycle = None
-
-    @property
-    def seq(self):
-        return self.rob.seq
 
     @property
     def needs_visibility_action(self):
@@ -97,19 +96,16 @@ class LoadQueueEntry:
 class StoreQueueEntry:
     """One in-flight store (pre-commit)."""
 
-    __slots__ = ("index", "rob", "addr", "size", "value", "addr_resolved")
+    __slots__ = ("index", "rob", "seq", "addr", "size", "value", "addr_resolved")
 
     def __init__(self, index, rob_entry):
         self.index = index
         self.rob = rob_entry
+        self.seq = rob_entry.seq
         self.addr = None
         self.size = 0
         self.value = 0
         self.addr_resolved = False
-
-    @property
-    def seq(self):
-        return self.rob.seq
 
 
 class _CircularQueue:

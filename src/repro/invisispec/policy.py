@@ -78,36 +78,33 @@ class ISFuturePolicy(SchemePolicy):
     uses_invisispec = True
     validation_blocks_overlap = True
 
+    # Every entry the Section VIII trackers hold active is in the ROB, so
+    # nothing older than the ROB head can squash it: a head load is always
+    # non-squashable, and the head check only decides whether a
+    # validation/exposure needs the interrupt window.
+
     def load_is_safe(self, core, rob_entry):
-        head = core.rob.head()
-        if head is not None and head.seq == rob_entry.seq:
-            return True
         return self._non_squashable(core, rob_entry.seq)
 
     def visible_now(self, core, lq_entry):
+        seq = lq_entry.seq
+        if not self._non_squashable(core, seq):
+            return False
         head = core.rob.head()
-        if head is not None and head.seq == lq_entry.seq:
+        if head is not None and head.seq == seq:
             return True
-        if self._non_squashable(core, lq_entry.seq):
-            # Initiating a pre-head validation/exposure requires the
-            # interrupt-delay window (Section VI-D); refused if an interrupt
-            # is already pending (anti-starvation).
-            return core.request_interrupt_protection(lq_entry.seq)
-        return False
+        # Initiating a pre-head validation/exposure requires the
+        # interrupt-delay window (Section VI-D); refused if an interrupt
+        # is already pending (anti-starvation).
+        return core.request_interrupt_protection(seq)
 
     @staticmethod
     def _non_squashable(core, seq):
-        for probe in (
-            core.min_unresolved_branch_seq,
-            core.min_exceptable_seq,
-            core.min_uncommitted_store_seq,
-            core.min_unvalidated_load_seq,
-            core.min_incomplete_fence_seq,
-        ):
-            blocking = probe()
-            if blocking is not None and blocking < seq:
-                return False
-        return True
+        """No older instruction can squash ``seq``: none is an unresolved
+        branch, may still raise, is an uncommitted store, an unvalidated
+        load or an incomplete fence (Section VIII (i)-(v))."""
+        blocking = core.min_squashing_seq()
+        return blocking is None or blocking >= seq
 
 
 class SelectivePolicy(ISFuturePolicy):

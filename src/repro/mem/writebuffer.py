@@ -33,6 +33,7 @@ class WriteBuffer:
         self.fifo = fifo
         self.max_inflight = max_inflight or (1 if fifo else num_entries)
         self._entries = deque()
+        self._inflight = 0  # entries marked in flight and not yet retired
         self.stat_enqueued = 0
         self.stat_drained = 0
 
@@ -64,14 +65,12 @@ class WriteBuffer:
         """
         if not self._entries:
             return []
-        inflight = sum(1 for e in self._entries if e.inflight)
+        inflight = self._inflight
         if inflight >= self.max_inflight:
             return []
         if self.fifo:
-            head = self._entries[0] if self._entries else None
-            if head is not None and not head.inflight:
-                return [head]
-            return []
+            head = self._entries[0]
+            return [] if head.inflight else [head]
         candidates = []
         for i, entry in enumerate(self._entries):
             if entry.inflight:
@@ -99,6 +98,7 @@ class WriteBuffer:
 
     def mark_inflight(self, entry):
         entry.inflight = True
+        self._inflight += 1
 
     def retire_entry(self, entry):
         """Remove a performed store from the buffer."""
@@ -106,6 +106,8 @@ class WriteBuffer:
             self._entries.remove(entry)
         except ValueError:
             raise SimulationError("retiring store not present in write buffer")
+        if entry.inflight:
+            self._inflight -= 1
         self.stat_drained += 1
 
     def pending_store_to(self, addr, size, space):

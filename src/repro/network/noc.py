@@ -31,16 +31,29 @@ class TrafficCategory(enum.Enum):
     EXPOSE_VALIDATE = "expose_validate"
 
 
+# Dense member numbers: the NoC counts bytes in a list indexed by
+# ``category.index`` rather than in a dict keyed by the Enum member, whose
+# ``__hash__`` is a Python-level call on every message.
+for _index, _category in enumerate(TrafficCategory):
+    _category.index = _index
+del _index, _category
+
+
 class NoC:
     """Mesh interconnect: computes delays, accounts traffic."""
 
     def __init__(self, params, faults=None):
         self.params = params
         self.topology = MeshTopology(params.mesh_cols, params.mesh_rows)
+        # send() indexes the topology's hop table directly, without the
+        # node check of MeshTopology.hops: its callers (the hierarchy and
+        # the fetch models) send only between nodes of this mesh.
+        self._nodes = self.topology.num_nodes
+        self._hops = self.topology.hop_table
         self.hop_latency = params.hop_latency
         self.control_bytes = params.control_message_bytes
         self.data_bytes = params.data_message_bytes
-        self.bytes_by_category = {cat: 0 for cat in TrafficCategory}
+        self._bytes = [0] * len(TrafficCategory)
         self.byte_hops = 0
         self.messages = 0
         #: Optional FaultInjector; consulted per message for the
@@ -59,8 +72,8 @@ class NoC:
     def send(self, src_node, dst_node, is_data, category):
         """Account one message; returns its one-way latency in cycles."""
         size = self.data_bytes if is_data else self.control_bytes
-        hops = self.topology.hops(src_node, dst_node)
-        self.bytes_by_category[category] += size
+        hops = self._hops[src_node * self._nodes + dst_node]
+        self._bytes[category.index] += size
         self.byte_hops += size * hops
         self.messages += 1
         latency = hops * self.hop_latency
@@ -78,14 +91,19 @@ class NoC:
         return latency
 
     @property
+    def bytes_by_category(self):
+        """Bytes sent per :class:`TrafficCategory`."""
+        return {cat: self._bytes[cat.index] for cat in TrafficCategory}
+
+    @property
     def total_bytes(self):
-        return sum(self.bytes_by_category.values())
+        return sum(self._bytes)
 
     def traffic_breakdown(self):
         """Bytes per category, keyed by category value string."""
-        return {cat.value: count for cat, count in self.bytes_by_category.items()}
+        return {cat.value: self._bytes[cat.index] for cat in TrafficCategory}
 
     def reset_stats(self):
-        self.bytes_by_category = {cat: 0 for cat in TrafficCategory}
+        self._bytes = [0] * len(TrafficCategory)
         self.byte_hops = 0
         self.messages = 0

@@ -18,8 +18,8 @@ class MeshTopology:
         self.cols = cols
         self.rows = rows
         nodes = cols * rows
-        #: ``_hops[src * nodes + dst]``: X-Y hop count, built once.
-        self._hops = [
+        #: ``hop_table[src * nodes + dst]``: X-Y hop count, built once.
+        self.hop_table = [
             abs(src % cols - dst % cols) + abs(src // cols - dst // cols)
             for src in range(nodes)
             for dst in range(nodes)
@@ -38,7 +38,7 @@ class MeshTopology:
         """Manhattan (X-Y routed) hop count between two nodes."""
         nodes = self.cols * self.rows
         if 0 <= src < nodes and 0 <= dst < nodes:
-            return self._hops[src * nodes + dst]
+            return self.hop_table[src * nodes + dst]
         bad = dst if 0 <= src < nodes else src
         raise ConfigError(f"node {bad} outside {self.cols}x{self.rows} mesh")
 

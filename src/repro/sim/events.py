@@ -3,6 +3,12 @@
 Events are ordered by (cycle, sequence number): two events scheduled for the
 same cycle fire in the order they were scheduled, which keeps simulations
 bit-for-bit reproducible regardless of heap tie-breaking.
+
+The heap holds plain ``[cycle, seq, callback]`` lists, and that list is
+also the handle :meth:`EventQueue.schedule` returns: cancelling it clears
+its callback slot (:meth:`EventQueue.cancel`), and the queue drops the
+entry when it reaches the head (lazy deletion).  No object is built per
+event beyond the list itself.
 """
 
 from __future__ import annotations
@@ -12,38 +18,36 @@ import heapq
 from ..errors import SimulationError
 
 
-class Event:
-    """A callback to run at an absolute cycle."""
+class Event(list):
+    """A handle that never fires: ``[cycle, -1, None]``.
 
-    __slots__ = ("cycle", "seq", "callback", "cancelled")
+    The kernel returns one when the ``kernel.event_drop`` fault loses an
+    event, so callers can hold and cancel it like any queue entry.  It is
+    never put in a queue.
+    """
 
-    def __init__(self, cycle, seq, callback):
-        self.cycle = cycle
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
+    __slots__ = ()
 
-    def cancel(self):
-        """Prevent the event from firing; cheap (lazy deletion)."""
-        self.cancelled = True
+    def __init__(self, cycle):
+        super().__init__((cycle, -1, None))
 
     def __lt__(self, other):
-        # Orders handles like the queue does.  The queue itself heaps
-        # (cycle, seq, event) tuples and never calls this.
-        return (self.cycle, self.seq) < (other.cycle, other.seq)
+        return (self[0], self[1]) < (other[0], other[1])
 
-    def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(cycle={self.cycle}, seq={self.seq}, {state})"
+
+def cancelled(handle):
+    """True once ``handle`` (a queue entry or an :class:`Event`) can no
+    longer fire."""
+    return handle[2] is None
 
 
 class EventQueue:
-    """Min-heap of ``(cycle, seq, event)`` keyed by (cycle, insertion order).
+    """Min-heap of ``[cycle, seq, callback]`` keyed by (cycle, insertion
+    order).
 
-    The heap holds tuples whose first two fields are unique ints, so
-    ``heapq`` orders them with C-level int comparisons and never calls
-    :meth:`Event.__lt__`.  Cancelled events stay in the heap until they
-    reach its head (lazy deletion).
+    The first two fields are unique ints, so ``heapq`` orders entries with
+    C-level int comparisons.  A cancelled entry has ``callback`` ``None``
+    and stays in the heap until it reaches the head.
     """
 
     def __init__(self):
@@ -53,39 +57,43 @@ class EventQueue:
     def __len__(self):
         return len(self._heap)
 
-    def schedule(self, cycle, callback) -> Event:
-        """Schedule ``callback()`` to run at ``cycle``; returns the Event."""
+    def schedule(self, cycle, callback):
+        """Schedule ``callback()`` to run at ``cycle``; returns the entry,
+        which is the handle :meth:`cancel` takes."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(cycle, seq, callback)
-        heapq.heappush(self._heap, (cycle, seq, event))
-        return event
+        entry = [cycle, seq, callback]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    @staticmethod
+    def cancel(handle):
+        """Prevent the entry from firing; cheap (lazy deletion)."""
+        handle[2] = None
 
     def next_cycle(self):
         """Cycle of the earliest pending event, or ``None`` if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def _drop_cancelled(self):
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap:
+            head = heap[0]
+            if head[2] is not None:
+                return head[0]
             heapq.heappop(heap)
+        return None
 
     def run_until(self, cycle):
-        """Fire every pending event with ``event.cycle <= cycle``, in order."""
+        """Fire every pending event with a cycle ``<= cycle``, in order."""
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            head_cycle, _, event = heap[0]
-            if event.cancelled:
+            head_cycle, _, callback = heap[0]
+            if callback is None:
                 pop(heap)
                 continue
             if head_cycle > cycle:
                 break
             pop(heap)
-            event.callback()
+            callback()
 
     def run_at(self, cycle):
         """Fire every pending event scheduled exactly at ``cycle``.
@@ -93,9 +101,11 @@ class EventQueue:
         Raises :class:`SimulationError` if an earlier event is still pending,
         which would mean the kernel skipped time.
         """
-        self._drop_cancelled()
-        if self._heap and self._heap[0][0] < cycle:
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        if heap and heap[0][0] < cycle:
             raise SimulationError(
-                f"event at cycle {self._heap[0][0]} missed (now {cycle})"
+                f"event at cycle {heap[0][0]} missed (now {cycle})"
             )
         self.run_until(cycle)

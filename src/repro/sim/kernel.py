@@ -51,14 +51,15 @@ Two optional hooks support the :mod:`repro.reliability` layer:
 * ``kernel.faults`` — a :class:`~repro.reliability.faults.FaultInjector`;
   when set, each ``schedule``/``schedule_at`` call consults the
   ``kernel.event_drop`` fault site, and a triggered fault silently loses
-  the event (the returned handle is pre-cancelled), which is how "message
-  never arrived" failures reach the deadlock detector.
+  the event: it never enters the queue, and the caller gets a
+  pre-cancelled :class:`~repro.sim.events.Event` as its handle.  That is
+  how "message never arrived" failures reach the deadlock detector.
 """
 
 from __future__ import annotations
 
 from ..errors import DeadlockError, SimTimeoutError
-from .events import EventQueue
+from .events import Event, EventQueue
 
 _NEVER = float("inf")
 
@@ -84,10 +85,7 @@ class SimKernel:
         #: ``on_cycle`` after each cycle's events fire and ``on_quiesce``
         #: right before a successful run() returns.
         self.monitor = None
-        # Last cycle whose events have already fired this iteration.  A
-        # schedule for that cycle or earlier (e.g. schedule_at with a stale
-        # timestamp from the tick phase) clamps to the next cycle instead of
-        # planting an unfireable past event in the queue.
+        # Last cycle whose events have already fired this iteration.
         self._fired_through = -1
         # Sleeping components: index -> [wake cycle, skipped ticks].
         self._sleeping = {}
@@ -105,25 +103,41 @@ class SimKernel:
         """
         self._components.append(component)
 
-    def _schedule_event(self, cycle, callback):
-        cycle = max(cycle, self._fired_through + 1)
-        if self.faults is not None:
-            action = self.faults.fire("kernel.event_drop", cycle=self.cycle)
-            if action is not None:
-                # The event is lost: return a handle that will never fire so
-                # callers can still hold/cancel it.
-                event = self.events.schedule(cycle, callback)
-                event.cancel()
-                return event
-        return self.events.schedule(cycle, callback)
+    # schedule/schedule_at clamp a cycle whose events already fired (e.g.
+    # a stale timestamp from the tick phase) to the next cycle instead of
+    # planting an unfireable past event.  They run once per event, so
+    # neither calls a helper.
 
     def schedule(self, delay, callback):
-        """Run ``callback()`` ``delay`` cycles from now (delay >= 0)."""
-        return self._schedule_event(self.cycle + max(0, delay), callback)
+        """Run ``callback()`` ``delay`` cycles from now (delay >= 0).
+
+        Returns the queue entry, the handle :meth:`EventQueue.cancel`
+        takes.
+        """
+        cycle = self.cycle
+        if delay > 0:
+            cycle += delay
+        if cycle <= self._fired_through:
+            cycle = self._fired_through + 1
+        faults = self.faults
+        if faults is not None and faults.fire(
+            "kernel.event_drop", cycle=self.cycle
+        ) is not None:
+            return Event(cycle)  # lost: a handle that never fires
+        return self.events.schedule(cycle, callback)
 
     def schedule_at(self, cycle, callback):
         """Run ``callback()`` at an absolute cycle >= now."""
-        return self._schedule_event(max(cycle, self.cycle), callback)
+        if cycle < self.cycle:
+            cycle = self.cycle
+        if cycle <= self._fired_through:
+            cycle = self._fired_through + 1
+        faults = self.faults
+        if faults is not None and faults.fire(
+            "kernel.event_drop", cycle=self.cycle
+        ) is not None:
+            return Event(cycle)  # lost: a handle that never fires
+        return self.events.schedule(cycle, callback)
 
     def settle(self):
         """Credit every sleeping component with the ticks skipped so far.

@@ -227,7 +227,7 @@ class TraceReplayer:
                     "l2_evict",
                 )
             directory.drop(line)
-        self.hierarchy._purge_llc_sbs(line, except_core=None)
+        self.hierarchy._purge_llc_sbs(line)
         self.kernel.run(max_cycles=self.kernel.cycle + self.MAX_CYCLES_PER_STEP)
 
     # ------------------------------------------------------------- replay

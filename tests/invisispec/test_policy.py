@@ -102,6 +102,14 @@ class FutureFakeCore:
             return self._probe(name)
         raise AttributeError(name)
 
+    def min_squashing_seq(self):
+        """The oldest of the five probes, as a core's cached visibility
+        point answers it."""
+        return min(
+            (seq for seq in self._blockers.values() if seq is not None),
+            default=None,
+        )
+
     def request_interrupt_protection(self, seq):
         self.protection_requests.append(seq)
         return self._allow

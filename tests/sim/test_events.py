@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.configs import ProcessorConfig, Scheme
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.reliability.faults import FaultSchedule
+from repro.runner import run_spec
+from repro.sim.events import Event, EventQueue, cancelled
+from repro.sim.kernel import SimKernel
 
 
 class TestEventQueue:
@@ -44,7 +48,7 @@ class TestEventQueue:
         queue = EventQueue()
         fired = []
         event = queue.schedule(1, lambda: fired.append("x"))
-        event.cancel()
+        queue.cancel(event)
         queue.run_until(5)
         assert fired == []
 
@@ -52,7 +56,7 @@ class TestEventQueue:
         queue = EventQueue()
         first = queue.schedule(1, lambda: None)
         queue.schedule(7, lambda: None)
-        first.cancel()
+        queue.cancel(first)
         assert queue.next_cycle() == 7
 
     def test_next_cycle_empty_is_none(self):
@@ -85,7 +89,8 @@ class TestEventQueue:
     def test_same_cycle_fifo_across_interleaved_cycles_without_event_compare(
         self, monkeypatch
     ):
-        # The heap orders (cycle, seq) tuples; Event.__lt__ is never needed.
+        # The heap orders [cycle, seq, callback] entries by their ints;
+        # Event.__lt__ is never needed.
         def refuse(self, other):
             raise AssertionError("heap compared Event objects")
 
@@ -98,10 +103,81 @@ class TestEventQueue:
                 cycle, lambda c=cycle, t=tag: fired.append((c, t))
             )
             if tag == 6:
-                event.cancel()
+                queue.cancel(event)
         queue.run_until(3)
         queue.run_at(5)
         assert fired == [
             (3, 1), (3, 3), (3, 5), (3, 7), (3, 9), (3, 11),
             (5, 0), (5, 2), (5, 4), (5, 8), (5, 10),
         ]
+
+    def test_handle_is_the_heap_entry(self):
+        queue = EventQueue()
+        handle = queue.schedule(4, lambda: None)
+        assert handle == [4, 0, handle[2]]
+        assert not cancelled(handle)
+        queue.cancel(handle)
+        assert cancelled(handle)
+        assert queue.next_cycle() is None
+
+
+class _Waiter:
+    """Waits until the clock reaches ``until``, then finishes."""
+
+    def __init__(self, kernel, until):
+        self.kernel = kernel
+        self.until = until
+
+    def tick(self):
+        return "done" if self.kernel.cycle >= self.until else "waiting"
+
+
+class TestEventDrop:
+    def _kernel(self, nth):
+        kernel = SimKernel()
+        kernel.faults = FaultSchedule.parse(
+            [f"kernel.event_drop:nth={nth}"]
+        ).injector()
+        return kernel
+
+    def test_dropped_event_never_fires(self):
+        kernel = self._kernel(nth=1)
+        fired = []
+        handle = kernel.schedule(50, lambda: fired.append("lost"))
+        kernel.schedule(3, lambda: fired.append("kept"))
+        assert isinstance(handle, Event)
+        assert cancelled(handle)
+        assert len(kernel.events) == 1
+        kernel.run()
+        assert fired == ["kept"]
+
+    def test_dropped_event_never_sets_the_fast_forward_target(self):
+        # Alone, the waiting component would stall into deadlock
+        # detection; a queued event at cycle 500 would instead have
+        # fast-forwarded the clock there.
+        kernel = self._kernel(nth=1)
+        handle = kernel.schedule_at(500, lambda: None)
+        assert cancelled(handle)
+        assert kernel.events.next_cycle() is None
+        kernel.register(_Waiter(kernel, until=3))
+        assert kernel.run() == 3
+
+    def test_a_dropped_handle_can_still_be_cancelled(self):
+        kernel = self._kernel(nth=1)
+        handle = kernel.schedule(1, lambda: None)
+        EventQueue.cancel(handle)
+        assert cancelled(handle)
+
+
+def test_spec_is_future_cell_builds_no_event_object(monkeypatch):
+    """Only the event_drop fault builds an Event: a whole cell runs with
+    its constructor refusing."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Event was built")
+
+    monkeypatch.setattr(Event, "__init__", refuse)
+    result = run_spec(
+        "mcf", ProcessorConfig(scheme=Scheme.IS_FUTURE), instructions=400
+    )
+    assert result.instructions == 400
