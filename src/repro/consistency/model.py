@@ -22,6 +22,8 @@ class ConsistencyPolicy:
 
     name = "abstract"
     fifo_write_buffer = True
+    #: The core trackers this model queries (:mod:`repro.cpu.tracking`).
+    reads = frozenset()
 
     def squash_on_invalidation(self, core, lq_entry):
         """Baseline behaviour: squash this performed, unretired load?"""

@@ -18,6 +18,7 @@ from .model import ConsistencyPolicy
 class RCPolicy(ConsistencyPolicy):
     name = "RC"
     fifo_write_buffer = False
+    reads = frozenset(("sync",))
 
     def _older_sync(self, core, seq):
         sync_seq = core.min_incomplete_sync_seq()

@@ -20,6 +20,7 @@ from .model import ConsistencyPolicy
 class TSOPolicy(ConsistencyPolicy):
     name = "TSO"
     fifo_write_buffer = True
+    reads = frozenset(("fence",))
 
     def squash_on_invalidation(self, core, lq_entry):
         # Conventional TSO hardware conservatively squashes any performed,

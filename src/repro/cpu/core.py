@@ -83,7 +83,12 @@ from .lsq import (
     StoreQueue,
 )
 from .rob import ROBEntry, ReorderBuffer
-from .tracking import LazyMinTracker, SquashPoint, SquashTracker
+from .tracking import (
+    SQUASH_CONDITIONS,
+    LazyMinTracker,
+    SquashPoint,
+    SquashTracker,
+)
 from .trace import ReplayStream
 
 # Enum members read per op, bound once: a class attribute read of an enum
@@ -93,6 +98,9 @@ _BRANCH, _STORE, _LOAD = OpKind.BRANCH, OpKind.STORE, OpKind.LOAD
 _PREFETCH, _FENCE = OpKind.PREFETCH, OpKind.FENCE
 _EXCEPTION, _RELEASE = OpKind.EXCEPTION, OpKind.RELEASE
 
+#: The trackers the core reads under every scheme: its execution gate and
+#: LFENCE completion query the fence tracker.
+_CORE_READS = frozenset(("fence",))
 
 class Core:
     """One hardware thread of the simulated machine."""
@@ -194,23 +202,18 @@ class Core:
         self._sb_waiters = {}  # lq virtual index -> [ROBEntry]
         self._interrupt_protect_seq = None
 
-        # The five Section VIII conditions (i)-(v) under which an older
-        # instruction can still squash a load, and their cached minimum.
-        point = self.squash_point = SquashPoint()
-        self._branch_tracker = SquashTracker(lambda e: not e.resolved, point)
-        self._exceptable_tracker = SquashTracker(self._exceptable_active, point)
-        self._store_tracker = SquashTracker(
-            lambda e: e.state != "retired", point
+        # Only the trackers something reads are built and fed (an unread
+        # one is never queried, so it never shrinks): IS-Fu/IS-Sel read
+        # the five Section VIII conditions, IS-Sp the branch tracker,
+        # Base and the fences none; TSO reads the fence tracker, RC the
+        # sync tracker.  The fence tracker is always built, because the
+        # core's own execution gate (_on_deps_ready) and LFENCE completion
+        # (_tick_fences) read it under every scheme.  A judge on a core
+        # it does not govern, or any later reader, adds its reads through
+        # attach_load_issue_probe.  See :mod:`repro.cpu.tracking`.
+        self._build_trackers(
+            self.policy.reads | self.consistency.reads | _CORE_READS
         )
-        self._unvalidated_tracker = SquashTracker(
-            self._unvalidated_active, point
-        )
-        self._fence_tracker = SquashTracker(lambda e: not e.fence_done, point)
-        #: Seq of the oldest instruction that can still squash a younger
-        #: one, or ``None``: IS-Future's visibility point (bound once; it
-        #: runs on every USL issue, visibility scan and deferred-TLB tick).
-        self.min_squashing_seq = point.min_seq
-        self._sync_tracker = LazyMinTracker(lambda e: e.state != "retired")
         # Loads whose TLB miss deferred them to their visibility point.  A
         # retired entry no longer points at its (dead) LQ entry.
         self._deferred_tracker = LazyMinTracker(
@@ -240,14 +243,77 @@ class Core:
         #: Optional runtime sanitizer (:mod:`repro.sanitizer`): notified
         #: around USL issue, on prefetcher training, and at load commit.
         self.monitor = None
-        #: Optional load-issue probe (:mod:`repro.specflow.evidence`):
-        #: called as ``probe(core, rob_entry, unsafe_speculative)`` the
-        #: moment a load issues to memory, before any cache traffic.
+        #: Optional load-issue probe (:meth:`attach_load_issue_probe`).
         self.load_issue_probe = None
 
         hierarchy.attach_core(core_id, self)
 
     # ---------------------------------------------------------- tracker hooks
+
+    def _build_trackers(self, reads):
+        """Build the trackers named in ``reads``, fresh, and bind their
+        queries; the :class:`SquashPoint` only when ``reads`` holds all
+        five Section VIII conditions.  A query whose tracker is unread is
+        not bound, so reading it raises instead of answering "none"."""
+        point = SquashPoint() if SQUASH_CONDITIONS <= reads else None
+        trackers = {}
+        # The point recomputes in this order: keep it.
+        for name, is_active in (
+            ("branch", lambda e: not e.resolved),
+            ("exceptable", self._exceptable_active),
+            ("store", lambda e: e.state != "retired"),
+            ("unvalidated", self._unvalidated_active),
+            ("fence", lambda e: not e.fence_done),
+            ("sync", lambda e: e.state != "retired"),
+        ):
+            if name in reads:
+                trackers[name] = (
+                    SquashTracker(is_active, point)
+                    if point is not None and name in SQUASH_CONDITIONS
+                    else LazyMinTracker(is_active)
+                )
+        #: Tracker name -> the tracker, for every tracker this core feeds.
+        self.trackers = trackers
+        self.squash_point = point
+
+        def feeds(*names):
+            return tuple(trackers[n].push for n in names if n in trackers)
+
+        # What each kind of op is pushed into at dispatch, in push order.
+        self._load_feeds = feeds("exceptable", "unvalidated")
+        self._branch_feeds = feeds("branch")
+        self._store_feeds = feeds("exceptable", "store")
+        self._fence_feeds = feeds("fence", "sync")
+        self._fault_feeds = feeds("exceptable")
+
+        self.min_incomplete_fence_seq = trackers["fence"].min_seq
+        if "branch" in trackers:
+            self.min_unresolved_branch_seq = trackers["branch"].min_seq
+        if "sync" in trackers:
+            self.min_incomplete_sync_seq = trackers["sync"].min_seq
+        if point is not None:
+            # IS-Future's visibility point: the seq of the oldest op that
+            # can still squash a younger one, or ``None``.
+            self.min_squashing_seq = point.min_seq
+
+    def attach_load_issue_probe(self, probe, reads):
+        """Call ``probe(core, rob_entry, unsafe_speculative)`` the moment
+        a load issues to memory, before any cache traffic.
+
+        ``reads`` names the trackers the probe queries, such as the
+        :attr:`~repro.invisispec.policy.SchemePolicy.reads` of a policy
+        it consults as a judge; the core builds those it lacks.  It
+        rebuilds its trackers fresh, which is exact only with no live
+        entry in the ROB: attach between runs.
+        """
+        if not self.rob.empty:
+            raise SimulationError(
+                f"{self.name}: cannot attach a load-issue probe while "
+                f"{len(self.rob)} ROB entries are live"
+            )
+        if not reads <= self.trackers.keys():
+            self._build_trackers(reads | self.trackers.keys())
+        self.load_issue_probe = probe
 
     @staticmethod
     def _exceptable_active(entry):
@@ -277,15 +343,6 @@ class Core:
         if state == STATE_NORMAL and entry.state == "completed":
             return False
         return True
-
-    def min_unresolved_branch_seq(self):
-        return self._branch_tracker.min_seq()
-
-    def min_incomplete_fence_seq(self):
-        return self._fence_tracker.min_seq()
-
-    def min_incomplete_sync_seq(self):
-        return self._sync_tracker.min_seq()
 
     def request_interrupt_protection(self, seq):
         """IS-Future: open the interrupt-delay window for a USL (Section
@@ -477,25 +534,27 @@ class Core:
             lq_entry = self.lq.allocate(entry, self.epoch)
             if self.sb is not None:
                 self.sb.allocate(lq_entry.index)
-            self._exceptable_tracker.push(entry)
-            self._unvalidated_tracker.push(entry)
+            for push in self._load_feeds:
+                push(entry)
         elif kind is _BRANCH:
             predicted, checkpoint = self.predictor.predict(op.pc)
             entry.predicted_taken = predicted
             entry.predictor_checkpoint = checkpoint
             entry.mispredicted = predicted != op.taken
-            self._branch_tracker.push(entry)
+            for push in self._branch_feeds:
+                push(entry)
             if entry.mispredicted and not entry.is_wrong_path:
                 redirect = self._enter_wrong_path(entry)
         elif kind is _STORE:
             self.sq.allocate(entry)
-            self._exceptable_tracker.push(entry)
-            self._store_tracker.push(entry)
+            for push in self._store_feeds:
+                push(entry)
         elif kind.is_fence_like:
-            self._fence_tracker.push(entry)
-            self._sync_tracker.push(entry)
+            for push in self._fence_feeds:
+                push(entry)
         elif kind is _EXCEPTION or op.raises_exception:
-            self._exceptable_tracker.push(entry)
+            for push in self._fault_feeds:
+                push(entry)
             if kind is _EXCEPTION and not entry.is_wrong_path:
                 # A faulting instruction redirects the frontend: the
                 # transient continuation (Meltdown-style access/transmit
@@ -559,7 +618,7 @@ class Core:
     def _on_deps_ready(self, entry, now):
         if entry.squashed:
             return
-        fence_seq = self._fence_tracker.min_seq()
+        fence_seq = self.min_incomplete_fence_seq()
         if fence_seq is not None and fence_seq < entry.seq:
             self._fence_blocked.append(entry)
             return

@@ -20,11 +20,47 @@ in O(1).  Two facts keep the cache exact:
 
 The cache is therefore recomputed only when its entry goes inactive, and
 a push while it holds none makes the pushed entry the candidate.
+
+Who reads what
+--------------
+
+A tracker shrinks only when it is queried, so a tracker nobody reads
+would keep every op it was fed alive until the run ends.  Each reader
+therefore declares, as a ``reads`` set of tracker names, the trackers it
+queries, and the core builds and feeds only their union:
+
+* the scheme policy (:mod:`repro.invisispec.policy`): Base and the fence
+  schemes read none, IS-Spectre reads ``branch`` (Section V-A1), and
+  IS-Future and IS-Sel read the five :data:`SQUASH_CONDITIONS`;
+* the consistency model (:mod:`repro.consistency`): TSO reads ``fence``
+  (an older incomplete fence forces a validation) and RC reads ``sync``
+  (acquire/release ordering);
+* the core itself always reads ``fence``: the execution gate of
+  ``Core._on_deps_ready`` and the LFENCE completion of
+  ``Core._tick_fences`` query it under every scheme;
+* a judge that consults a policy over a core it does not govern (the
+  specflow evidence probe and the fuzz harness's dual judge, both on
+  Base cores) declares its policies' reads when it attaches, through
+  :meth:`repro.cpu.core.Core.attach_load_issue_probe`.  A later reader of
+  the trackers, such as a sanitizer check of the visibility point,
+  declares its reads the same way.
+
+The :class:`SquashPoint` exists only when all five conditions are read.
+Attaching a reader requires an empty ROB, so the trackers it adds start
+empty and the "every push is the youngest" rule above still holds.
 """
 
 from __future__ import annotations
 
 import heapq
+
+#: The Section VIII conditions (i)-(v) under which an older instruction
+#: can still squash a load: an unresolved branch, an instruction that may
+#: still raise, an uncommitted store, an unvalidated load, an incomplete
+#: fence.  IS-Future's visibility point is the oldest entry active in any.
+SQUASH_CONDITIONS = frozenset(
+    ("branch", "exceptable", "store", "unvalidated", "fence")
+)
 
 
 class LazyMinTracker:

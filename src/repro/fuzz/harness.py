@@ -112,7 +112,9 @@ def _run_once(prog, secret, watchdog=None, heartbeat=None,
                 fingerprints["spectre"].setdefault(pc, set()).add(line)
 
         for core in context.system.cores:
-            core.load_issue_probe = probe
+            core.attach_load_issue_probe(
+                probe, future_judge.reads | spectre_judge.reads
+            )
         start = context.kernel.cycle
         context.run_ops(
             0, ops, wrong_paths, max_cycles=start + phase_cycles

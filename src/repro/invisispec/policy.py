@@ -7,12 +7,15 @@ A scheme policy answers, for its core:
 * whether a load about to issue is *safe* or an Unsafe Speculative Load
   (Section V-A1);
 * whether a USL has reached its *visibility point* (Section V-B);
-* how validations and exposures may overlap (Section V-D).
+* how validations and exposures may overlap (Section V-D);
+* which of its core's squash trackers it reads (:attr:`SchemePolicy.reads`;
+  see :mod:`repro.cpu.tracking`).
 """
 
 from __future__ import annotations
 
 from ..configs import Scheme
+from ..cpu.tracking import SQUASH_CONDITIONS
 from ..errors import ConfigError
 
 
@@ -25,6 +28,8 @@ class SchemePolicy:
     uses_invisispec = False
     #: IS-Future requires validations to block later val/exp issues.
     validation_blocks_overlap = False
+    #: The core trackers this policy queries (:mod:`repro.cpu.tracking`).
+    reads = frozenset()
 
     def load_is_safe(self, core, rob_entry):
         """Safe loads issue normal coherence transactions (State N)."""
@@ -57,6 +62,7 @@ class ISSpectrePolicy(SchemePolicy):
     name = "IS-Sp"
     uses_invisispec = True
     validation_blocks_overlap = False
+    reads = frozenset(("branch",))
 
     def load_is_safe(self, core, rob_entry):
         branch_seq = core.min_unresolved_branch_seq()
@@ -77,6 +83,7 @@ class ISFuturePolicy(SchemePolicy):
     name = "IS-Fu"
     uses_invisispec = True
     validation_blocks_overlap = True
+    reads = SQUASH_CONDITIONS
 
     # Every entry the Section VIII trackers hold active is in the ROB, so
     # nothing older than the ROB head can squash it: a head load is always

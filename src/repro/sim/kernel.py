@@ -244,11 +244,12 @@ class SimKernel:
             if max_cycles is not None and self.cycle >= max_cycles:
                 raise SimTimeoutError(self.cycle, "max_cycles exceeded")
 
-            next_event = self.events.next_cycle()
             if any_active:
                 stall_cycles = 0
                 self.cycle += 1
-            elif next_event is not None:
+                continue
+            next_event = self.events.next_cycle()
+            if next_event is not None:
                 stall_cycles = 0
                 self.cycle = max(next_event, self.cycle + 1)
             else:

@@ -8,12 +8,14 @@ that, per attack PoC:
 
 1. run the PoC twice on the insecure BASE machine, with two different
    planted secrets;
-2. a :attr:`~repro.cpu.core.Core.load_issue_probe` records, for every
-   load issue during the leak phase, the touched line — but only when
-   the issue is *hypothetically unsafe*: on the wrong path, or judged
-   squashable by an :class:`~repro.invisispec.policy.ISFuturePolicy`
-   consulted over the core's live trackers (BASE itself protects
-   nothing, which is the point: we observe what an attacker could);
+2. a load-issue probe (:meth:`~repro.cpu.core.Core.attach_load_issue_probe`)
+   records, for every load issue during the leak phase, the touched
+   line — but only when the issue is *hypothetically unsafe*: on the
+   wrong path, or judged squashable by an
+   :class:`~repro.invisispec.policy.ISFuturePolicy` consulted over the
+   core's live trackers, which the probe's attach builds (BASE itself
+   protects nothing and reads none, which is the point: we observe what
+   an attacker could);
 3. every load PC the analyzer called SAFE must have identical
    per-secret fingerprints; every TRANSMIT PC must differ across the
    secrets (the positive control — if the transmitter's fingerprint did
@@ -48,7 +50,7 @@ def _install_probe(context, fingerprints):
             )
 
     for core in context.system.cores:
-        core.load_issue_probe = probe
+        core.attach_load_issue_probe(probe, judge.reads)
 
 
 # --------------------------------------------------------- per-PoC runners

@@ -9,11 +9,15 @@ unsquashed and still active.  The reference scans the heaps without
 popping, so checking leaves the run untouched.
 
 Every query any policy makes is compared, and each core is also queried
-after each of its ticks, so schemes that never ask (Base, the fences,
-IS-Spectre) still exercise the cache under their own dynamics.  The cells
-are the golden-counter matrix's apps under every scheme and both
-consistency models, the eight attack PoCs under every scheme, and
-fluidanimate and canneal on eight cores.
+after each of its ticks.  A core builds the point only when something
+reads all five trackers (IS-Future, IS-Sel), so every core here gets an
+:class:`~repro.invisispec.policy.ISFuturePolicy` judge attached when it
+is built, as the specflow and fuzz judges attach theirs: schemes that
+never ask (Base, the fences, IS-Spectre) then still exercise the cache
+under their own dynamics, and the judge's load-issue verdicts are
+compared too.  The cells are the golden-counter matrix's apps under
+every scheme and both consistency models, the eight attack PoCs under
+every scheme, and fluidanimate and canneal on eight cores.
 
 The mutation case drops the push-while-empty rule; the same check must
 then report disagreements.
@@ -24,6 +28,7 @@ import pytest
 from repro.configs import ConsistencyModel, ProcessorConfig, Scheme
 from repro.cpu.core import Core
 from repro.cpu.tracking import LazyMinTracker, SquashPoint, SquashTracker
+from repro.invisispec.policy import ISFuturePolicy
 from repro.runner import run_parsec
 from repro.security.cross_core import run_cross_core_attack
 from repro.security.exception_attacks import VARIANTS, run_exception_attack
@@ -70,6 +75,17 @@ class _Checker:
                 checker.mismatches.append((answer, expected))
             return answer
 
+        judge = ISFuturePolicy()
+
+        def probe(core, entry, unsafe_speculative):
+            judge.load_is_safe(core, entry)
+
+        init = Core.__init__
+
+        def init_then_attach(core, *args, **kwargs):
+            init(core, *args, **kwargs)
+            core.attach_load_issue_probe(probe, judge.reads)
+
         tick = Core.tick
 
         def tick_then_query(core):
@@ -77,9 +93,10 @@ class _Checker:
             core.min_squashing_seq()
             return state
 
-        # Core binds ``min_squashing_seq`` when it is built, so the patch
-        # reaches every core of a run started afterwards.
+        # Core binds ``min_squashing_seq`` when it builds its point, so the
+        # patch reaches every core of a run started afterwards.
         monkeypatch.setattr(SquashPoint, "min_seq", checked)
+        monkeypatch.setattr(Core, "__init__", init_then_attach)
         monkeypatch.setattr(Core, "tick", tick_then_query)
 
 
