@@ -1,41 +1,32 @@
 #!/usr/bin/env python
 """The full attack-vs-defense matrix of the paper's threat model.
 
-Three attacks (Spectre v1, Speculative Store Bypass, a Meltdown-style
-exception attack) against the five processor configurations of Table V.
-The scoping matches the paper's Table II: the Spectre-model defenses block
-only branch-shadow attacks; the Futuristic defenses block everything.
+Every registered attack PoC (``repro.security.POCS``: Spectre v1, the
+cross-core LLC setting, Speculative Store Bypass, a Meltdown-style
+exception attack and the Table I exception family) against the five
+processor configurations of Table V.  The scoping matches the paper's
+Table II: the Spectre-model defenses block only branch-shadow attacks;
+the Futuristic defenses block everything.
 
 Run:  python examples/attack_matrix.py
 """
 
-from repro import ProcessorConfig, Scheme
-from repro.security import (
-    run_cross_core_attack,
-    run_meltdown_style_attack,
-    run_spectre_v1,
-    run_ssb_attack,
-)
-
-ATTACKS = [
-    ("Spectre v1", lambda cfg: run_spectre_v1(cfg, secret=84, trials=1)[1], 84),
-    ("Store Bypass", lambda cfg: run_ssb_attack(cfg, secret=113)[1], 113),
-    ("Meltdown-style", lambda cfg: run_meltdown_style_attack(cfg, secret=199)[1], 199),
-    ("CrossCore LLC", lambda cfg: run_cross_core_attack(cfg, secret=37)[1], 37),
-]
+from repro import ProcessorConfig
+from repro.configs import ALL_SCHEMES
+from repro.security import POCS
 
 
 def main():
-    schemes = list(Scheme)
-    print(f"{'attack':16}" + "".join(f"{s.value:>10}" for s in schemes))
-    for name, attack, secret in ATTACKS:
+    print(f"{'attack':24}" + "".join(f"{s.value:>10}" for s in ALL_SCHEMES))
+    for poc in POCS:
         cells = []
-        for scheme in schemes:
-            recovered = attack(ProcessorConfig(scheme=scheme))
-            cells.append("LEAKED" if recovered == secret else "safe")
-        print(f"{name:16}" + "".join(f"{c:>10}" for c in cells))
+        for scheme in ALL_SCHEMES:
+            _latencies, recovered = poc.run(ProcessorConfig(scheme=scheme))
+            cells.append("LEAKED" if recovered == poc.secret else "safe")
+        print(f"{poc.name:24}" + "".join(f"{c:>10}" for c in cells))
     print("\nExpected: Base leaks everything; Fe-Sp/IS-Sp block only the")
-    print("branch-speculation attack; Fe-Fu/IS-Fu block all three.")
+    print("branch-speculation attacks (spectre_v1, cross_core); Fe-Fu/IS-Fu")
+    print(f"block all {len(POCS)}.")
 
 
 if __name__ == "__main__":

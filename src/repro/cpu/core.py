@@ -215,11 +215,17 @@ class Core:
             self.policy.reads | self.consistency.reads | _CORE_READS
         )
         # Loads whose TLB miss deferred them to their visibility point.  A
-        # retired entry no longer points at its (dead) LQ entry.
-        self._deferred_tracker = LazyMinTracker(
-            lambda e: e.lq_entry is not None
-            and e.lq_entry.valid
-            and e.lq_entry.vstate == STATE_DEFERRED
+        # retired entry no longer points at its (dead) LQ entry.  Only a
+        # USL defers, so only an InvisiSpec core (the one with a
+        # visibility engine) builds the tracker and ticks the stage.
+        self._deferred_tracker = (
+            LazyMinTracker(
+                lambda e: e.lq_entry is not None
+                and e.lq_entry.valid
+                and e.lq_entry.vstate == STATE_DEFERRED
+            )
+            if self.visibility is not None
+            else None
         )
 
         #: Set by every waking entry point; cleared at the start of a tick.
@@ -368,9 +374,10 @@ class Core:
         work += self._retire(now)
         self._tick_fences(now)
         work += self._drain_write_buffer(now)
-        if self.visibility is not None and self.lq.live:
-            self.visibility.tick()
-        self._tick_deferred_loads(now)
+        if self.visibility is not None:
+            if self.lq.live:
+                self.visibility.tick()
+            self._tick_deferred_loads(now)
         work += self._dispatch(now)
         work += self._fill_fetch_queue()
         self._counts["core.cycles"] += 1

@@ -39,8 +39,8 @@ queries, and the core builds and feeds only their union:
   ``Core._on_deps_ready`` and the LFENCE completion of
   ``Core._tick_fences`` query it under every scheme;
 * a judge that consults a policy over a core it does not govern (the
-  specflow evidence probe and the fuzz harness's dual judge, both on
-  Base cores) declares its policies' reads when it attaches, through
+  dual judge of :func:`repro.specflow.programs.fingerprint_runs`, which
+  specflow evidence and the fuzz harness share, on Base cores) declares its policies' reads when it attaches, through
   :meth:`repro.cpu.core.Core.attach_load_issue_probe`.  A later reader of
   the trackers, such as a sanitizer check of the visibility point,
   declares its reads the same way.

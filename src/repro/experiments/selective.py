@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from ..configs import ProcessorConfig, Scheme
 from ..reliability import CellSpec
+from ..security import POCS
 from ..specflow import analyze_program, all_programs, protected_pcs
 from .common import (
     ExperimentResult,
@@ -48,29 +49,6 @@ def compute_protected_pcs(seed=0, window=64, precision="full"):
         )
         pcs |= protected_pcs(report)
     return frozenset(pcs)
-
-
-def _poc_matrix(config):
-    """Run every attack PoC under ``config``; {name: defeated}."""
-    from ..security.cross_core import run_cross_core_attack
-    from ..security.exception_attacks import VARIANTS, run_exception_attack
-    from ..security.meltdown_style import run_meltdown_style_attack
-    from ..security.spectre_v1 import run_spectre_v1
-    from ..security.ssb import run_ssb_attack
-
-    defeated = {}
-    _lat, rec = run_spectre_v1(config, secret=84)
-    defeated["spectre_v1"] = rec != 84
-    _lat, rec = run_meltdown_style_attack(config, secret=199)
-    defeated["meltdown_style"] = rec != 199
-    _lat, rec = run_ssb_attack(config, secret=113)
-    defeated["ssb"] = rec != 113
-    _lat, rec = run_cross_core_attack(config, secret=37)
-    defeated["cross_core"] = rec != 37
-    for variant in sorted(VARIANTS):
-        _lat, rec = run_exception_attack(config, variant=variant, secret=177)
-        defeated[f"exception_{variant}"] = rec != 177
-    return defeated
 
 
 def run(apps=None, instructions=None, seed=0, quick=False, engine=None,
@@ -122,7 +100,10 @@ def run(apps=None, instructions=None, seed=0, quick=False, engine=None,
     sel_config = ProcessorConfig(
         scheme=Scheme.SELECTIVE, protected_pcs=protected
     )
-    defeated = _poc_matrix(sel_config)
+    defeated = {
+        poc.name: poc.run(sel_config, secret=poc.secret)[1] != poc.secret
+        for poc in POCS
+    }
 
     poc_lines = "\n".join(
         f"  {name}: {'defeated' if ok else 'LEAKED'}"

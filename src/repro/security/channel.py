@@ -18,6 +18,7 @@ after that.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from ..coherence.hierarchy import MemRequest, RequestKind
 from ..configs import ProcessorConfig
@@ -27,6 +28,20 @@ from ..params import SystemParams
 from ..system import System
 
 _probe_seq = itertools.count(1 << 40)
+
+
+class PoC(namedtuple("PoC", "name secret run program")):
+    """One attack proof of concept, as the registry
+    (:data:`repro.security.POCS`) lists it.
+
+    ``run(config, secret=secret, seed=0, sanitize=None)`` is the
+    end-to-end attack, receiver included, and returns ``(latencies,
+    recovered)``; ``secret`` is its default secret.  ``program()`` is the
+    victim as a :class:`~repro.specflow.programs.SpecProgram`, which also
+    carries the PoC's pre-leak phase and core count.
+    """
+
+    __slots__ = ()
 
 
 class AttackContext:

@@ -11,7 +11,7 @@ memory latency for every line.
 from __future__ import annotations
 
 from ..cpu.isa import MicroOp, OpKind
-from .channel import AttackContext
+from .channel import AttackContext, PoC
 
 ADDR_LIMIT = 0x0005_0000
 ADDR_SECRET = 0x0005_4000
@@ -19,6 +19,8 @@ ADDR_B = 0x0040_0000  # shared transmission array
 BRANCH_PC = 0x7500
 NUM_VALUES = 64  # reduced alphabet keeps the 2-core run fast
 LINE = 64
+#: the victim and the receiver each own a core
+CORES = 2
 
 #: Below this an LLC/remote-L1 hit; above it, memory.
 ON_CHIP_THRESHOLD = 60
@@ -43,6 +45,23 @@ def _victim_ops(index, in_bounds):
     return [bound_load, branch], {branch.uid: [access, transmit]}
 
 
+def prepare(context, secret):
+    """The pre-leak phase, on core 0: plant, train the victim's bounds
+    check (in-bounds calls), let the victim use its secret
+    architecturally, then flush the transmission array (it is shared
+    memory) and the bound.  Returns the out-of-bounds call."""
+    context.write_memory(ADDR_SECRET, secret % NUM_VALUES)
+    context.write_memory(ADDR_LIMIT, 10)
+    for i in range(24):
+        context.run_ops(0, *_victim_ops(i % 10, in_bounds=True))
+    context.run_ops(
+        0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)]
+    )
+    context.flush(ADDR_B, NUM_VALUES * LINE)
+    context.flush(ADDR_LIMIT)
+    return _victim_ops(0, in_bounds=False)
+
+
 def specflow_program():
     """The victim side as a specflow program (the receiver runs no
     transient code).  Same shape as spectre_v1: the dependent load
@@ -60,6 +79,8 @@ def specflow_program():
         secret_ranges=((ADDR_SECRET, ADDR_SECRET + 1),),
         description="spectre v1 victim monitored from another core's LLC view",
         expected_transmit={"spectre": (0x7520,), "futuristic": (0x7520,)},
+        prepare=prepare,
+        cores=CORES,
     )
 
 
@@ -69,31 +90,11 @@ def run_cross_core_attack(config, secret=37, seed=0, sanitize=None):
     Returns ``(latencies, recovered_value)``; latencies are the receiver's
     per-line probe times through its own (cold) core.
     """
-    from ..params import SystemParams
-
     with AttackContext(
-        config, params=SystemParams(num_cores=2), seed=seed, sanitize=sanitize
+        config, num_cores=CORES, seed=seed, sanitize=sanitize
     ) as context:
-        context.write_memory(ADDR_SECRET, secret % NUM_VALUES)
-        context.write_memory(ADDR_LIMIT, 10)
-
-        # Train the victim's bounds check (in-bounds calls).
-        for i in range(24):
-            ops, wrong = _victim_ops(i % 10, in_bounds=True)
-            context.run_ops(0, ops, wrong)
-        # The victim uses its secret architecturally, then the attacker
-        # flushes the transmission array (it is shared memory).
-        context.run_ops(
-            0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)]
-        )
-        for value in range(NUM_VALUES):
-            context.flush(ADDR_B + LINE * value)
-        context.flush(ADDR_LIMIT)
-
-        # Out-of-bounds call: the transient pair runs on core 0.
-        ops, wrong = _victim_ops(0, in_bounds=False)
-        context.run_ops(0, ops, wrong)
-
+        # The transient pair of the out-of-bounds call runs on core 0.
+        context.run_ops(0, *prepare(context, secret))
         # The receiver probes from CORE 1: anything on chip answers fast.
         latencies = [
             context.probe_latency(1, ADDR_B + LINE * value)
@@ -102,3 +103,6 @@ def run_cross_core_attack(config, secret=37, seed=0, sanitize=None):
     hits = [v for v in range(NUM_VALUES) if latencies[v] <= ON_CHIP_THRESHOLD]
     recovered = hits[0] if len(hits) == 1 else None
     return latencies, recovered
+
+
+POC = PoC("cross_core", 37, run_cross_core_attack, specflow_program)

@@ -14,14 +14,17 @@ the cache before the squash.  They differ in *what* the access reads:
   a system-register file mapping).
 
 All are Futuristic-model attacks: only Fe-Fu and IS-Future block them
-(Table II's scoping).
+(Table II's scoping).  :class:`ExceptionGadget` is the skeleton at one
+memory layout; :mod:`.meltdown_style` runs it at its own.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..cpu.isa import MicroOp, OpKind
-from .channel import AttackContext
-from .flush_reload import FlushReloadReceiver
+from .channel import PoC
+from .flush_reload import run_flush_reload
 
 NUM_VALUES = 256
 LINE = 64
@@ -37,43 +40,85 @@ VARIANTS = {
 ADDR_DELAY = 0x000B_0000  # flushed line gating the fault's retirement
 
 
-def _attack_ops(secret_addr, array_base):
-    delay_load = MicroOp(OpKind.LOAD, pc=0x9000, addr=ADDR_DELAY, size=8,
-                         dst="gate")
-    fault = MicroOp(OpKind.EXCEPTION, pc=0x9004, deps=(1,),
-                    label="faulting-access")
-    access = MicroOp(OpKind.LOAD, pc=0x9008, addr=secret_addr, size=1,
-                     dst="priv", label="access")
-    transmit = MicroOp(
-        OpKind.LOAD,
-        pc=0x900C,
-        addr_fn=lambda env: array_base + LINE * (env.get("priv", 0) & 0xFF),
-        size=1,
-        deps=(1,),
-        label="transmit",
-    )
-    return [delay_load, fault], {fault.uid: [access, transmit]}
+class ExceptionGadget:
+    """The shared skeleton at one layout: a load of the flushed
+    ``delay_addr`` gates a faulting op, whose wrong-path arm reads
+    ``secret_addr`` and transmits it through ``array_base``."""
+
+    def __init__(self, secret_addr, array_base, delay_addr=ADDR_DELAY):
+        self.secret_addr = secret_addr
+        self.array_base = array_base
+        self.delay_addr = delay_addr
+
+    def ops(self):
+        """The leak phase.  The transient continuation is the exception's
+        wrong-path arm: it is fetched under the fault's shadow and
+        squashed when the fault retires."""
+        delay_load = MicroOp(OpKind.LOAD, pc=0x9000, addr=self.delay_addr,
+                             size=8, dst="gate")
+        fault = MicroOp(OpKind.EXCEPTION, pc=0x9004, deps=(1,),
+                        label="faulting-access")
+        access = MicroOp(OpKind.LOAD, pc=0x9008, addr=self.secret_addr,
+                         size=1, dst="priv", label="access")
+        base = self.array_base
+        transmit = MicroOp(
+            OpKind.LOAD,
+            pc=0x900C,
+            addr_fn=lambda env: base + LINE * (env.get("priv", 0) & 0xFF),
+            size=1,
+            deps=(1,),
+            label="transmit",
+        )
+        return [delay_load, fault], {fault.uid: [access, transmit]}
+
+    def prepare(self, context, secret):
+        """The pre-leak phase: plant the privileged byte and warm it (the
+        victim context used it recently, so the transient access completes
+        well inside the fault's shadow: the precondition every one of
+        these attacks shares, and for L1TF the defining requirement), then
+        flush the transmission array and the delay line (widening the
+        transient window past the fault).  Returns :meth:`ops`."""
+        context.write_memory(self.secret_addr, secret & 0xFF)
+        context.run_ops(
+            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=self.secret_addr, size=1)]
+        )
+        context.flush(self.array_base, NUM_VALUES * LINE)
+        context.flush(self.delay_addr)
+        return self.ops()
+
+    def run(self, config, secret, seed=0, sanitize=None):
+        """FLUSH+RELOAD over the array; returns ``(latencies,
+        recovered)``, recovered being the unique fast line or None."""
+        latencies, hits = run_flush_reload(
+            self.prepare, secret,
+            [self.array_base + LINE * v for v in range(NUM_VALUES)],
+            config, seed, sanitize,
+        )
+        return latencies, hits[0] if len(hits) == 1 else None
 
 
-def specflow_programs():
-    """One specflow program per Table I variant.  All share the skeleton,
+_GADGETS = {
+    variant: ExceptionGadget(secret_addr, array_base)
+    for variant, (secret_addr, array_base, _desc) in VARIANTS.items()
+}
+
+
+def specflow_program(variant):
+    """One Table I variant as a specflow program.  All share the skeleton,
     so all four transmit through pc 0x900C — and only under the
     futuristic model (the shadow is an exception, not a branch)."""
     from ..specflow.programs import SpecProgram
 
-    def make_builder(secret_addr, array_base):
-        return lambda: _attack_ops(secret_addr, array_base)
-
-    return [
-        SpecProgram(
-            name=f"exception_{variant}",
-            builder=make_builder(secret_addr, array_base),
-            secret_ranges=((secret_addr, secret_addr + 1),),
-            description=f"exception-shielded read of {desc}",
-            expected_transmit={"spectre": (), "futuristic": (0x900C,)},
-        )
-        for variant, (secret_addr, array_base, desc) in sorted(VARIANTS.items())
-    ]
+    secret_addr, _array_base, desc = VARIANTS[variant]
+    gadget = _GADGETS[variant]
+    return SpecProgram(
+        name=f"exception_{variant}",
+        builder=gadget.ops,
+        secret_ranges=((secret_addr, secret_addr + 1),),
+        description=f"exception-shielded read of {desc}",
+        expected_transmit={"spectre": (), "futuristic": (0x900C,)},
+        prepare=gadget.prepare,
+    )
 
 
 def run_exception_attack(config, variant="meltdown", secret=199, seed=0,
@@ -83,43 +128,14 @@ def run_exception_attack(config, variant="meltdown", secret=199, seed=0,
         raise ValueError(
             f"unknown variant {variant!r}; choose from {sorted(VARIANTS)}"
         )
-    secret_addr, array_base, _desc = VARIANTS[variant]
-    with AttackContext(
-        config, num_cores=1, seed=seed, sanitize=sanitize
-    ) as context:
-        context.write_memory(secret_addr, secret & 0xFF)
-        # The privileged state is warm (the victim context used it
-        # recently) — the precondition every one of these attacks shares;
-        # for L1TF it is the defining requirement.
-        context.run_ops(
-            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=secret_addr, size=1)]
-        )
-        receiver = FlushReloadReceiver(
-            context, 0, [array_base + LINE * v for v in range(NUM_VALUES)]
-        )
-        receiver.flush()
-        context.flush(ADDR_DELAY)
-        ops, wrong = _attack_ops(secret_addr, array_base)
-        context.run_ops(0, ops, wrong)
-        latencies = receiver.reload()
-    hits = receiver.hits(latencies)
-    recovered = hits[0] if len(hits) == 1 else None
-    return latencies, recovered
+    return _GADGETS[variant].run(config, secret, seed, sanitize)
 
 
-def attack_matrix(schemes, variants=None, secret=177, seed=0):
-    """{variant: {scheme: leaked?}} across configurations."""
-    from ..configs import ProcessorConfig
-
-    variants = variants or sorted(VARIANTS)
-    matrix = {}
-    for variant in variants:
-        row = {}
-        for scheme in schemes:
-            _lat, recovered = run_exception_attack(
-                ProcessorConfig(scheme=scheme), variant=variant,
-                secret=secret, seed=seed,
-            )
-            row[scheme] = recovered == secret
-        matrix[variant] = row
-    return matrix
+POCS = tuple(
+    PoC(
+        f"exception_{variant}", 199,
+        partial(run_exception_attack, variant=variant),
+        partial(specflow_program, variant),
+    )
+    for variant in sorted(VARIANTS)
+)

@@ -7,6 +7,8 @@ transient instructions) touched the line.
 
 from __future__ import annotations
 
+from .channel import AttackContext
+
 
 class FlushReloadReceiver:
     """Monitors a list of addresses with FLUSH+RELOAD."""
@@ -44,3 +46,18 @@ class FlushReloadReceiver:
             for i, latency in enumerate(latencies)
             if latency <= self.HIT_THRESHOLD_CYCLES
         ]
+
+
+def run_flush_reload(prepare, secret, monitored_addrs, config, seed=0,
+                     sanitize=None):
+    """A single-core FLUSH+RELOAD attack on a fresh machine.
+
+    ``prepare(context, secret)`` is the PoC's pre-leak phase (it flushes
+    the monitored lines); the leak phase it returns runs on core 0, then
+    core 0 reloads every monitored line.  Returns ``(latencies, hits)``.
+    """
+    with AttackContext(config, seed=seed, sanitize=sanitize) as context:
+        receiver = FlushReloadReceiver(context, 0, monitored_addrs)
+        context.run_ops(0, *prepare(context, secret))
+        latencies = receiver.reload()
+    return latencies, receiver.hits(latencies)

@@ -6,44 +6,23 @@ reads a privileged secret and encodes it in the cache before the squash.
 A conventional machine leaks; IS-Future keeps the transient loads in the
 speculative buffer.  (IS-Spectre does not consider exception shadows —
 the paper's Table II scopes it to branch speculation — so the Futuristic
-design is the one that must block this.)
+design is the one that must block this.)  It is the Table I skeleton of
+:mod:`.exception_attacks` at its own memory layout.
 """
 
 from __future__ import annotations
 
-from ..cpu.isa import MicroOp, OpKind
-from .channel import AttackContext
-from .flush_reload import FlushReloadReceiver
+from .channel import PoC
+from .exception_attacks import ExceptionGadget
 
 ADDR_DELAY = 0x0004_0000  # flushed line gating the fault's retirement
 ADDR_SECRET = 0x0004_2000  # "kernel" byte
 ADDR_B = 0x0030_0000
-NUM_VALUES = 256
-LINE = 64
 
-
-def _attack_ops():
-    delay_load = MicroOp(
-        OpKind.LOAD, pc=0x9000, addr=ADDR_DELAY, size=8, dst="d"
-    )
-    fault = MicroOp(
-        OpKind.EXCEPTION, pc=0x9004, deps=(1,), label="faulting-access"
-    )
-    access = MicroOp(
-        OpKind.LOAD, pc=0x9008, addr=ADDR_SECRET, size=1, dst="k",
-        label="access",
-    )
-    transmit = MicroOp(
-        OpKind.LOAD,
-        pc=0x900C,
-        addr_fn=lambda env: ADDR_B + LINE * (env.get("k", 0) & 0xFF),
-        size=1,
-        deps=(1,),
-        label="transmit",
-    )
-    # The transient continuation is the exception's wrong-path arm: it is
-    # fetched under the fault's shadow and squashed when the fault retires.
-    return [delay_load, fault], {fault.uid: [access, transmit]}
+_GADGET = ExceptionGadget(ADDR_SECRET, ADDR_B, ADDR_DELAY)
+#: The pre-leak phase: warm the kernel byte (the kernel recently used its
+#: data, the standard Meltdown setting), flush B and the delay line.
+prepare = _GADGET.prepare
 
 
 def specflow_program():
@@ -55,34 +34,17 @@ def specflow_program():
 
     return SpecProgram(
         name="meltdown_style",
-        builder=_attack_ops,
+        builder=_GADGET.ops,
         secret_ranges=((ADDR_SECRET, ADDR_SECRET + 1),),
         description="exception-shielded kernel-byte read and transmit",
         expected_transmit={"spectre": (), "futuristic": (0x900C,)},
+        prepare=prepare,
     )
 
 
 def run_meltdown_style_attack(config, secret=199, seed=0, sanitize=None):
     """Run the attack; returns ``(latencies, recovered_value)``."""
-    with AttackContext(
-        config, num_cores=1, seed=seed, sanitize=sanitize
-    ) as context:
-        context.write_memory(ADDR_SECRET, secret & 0xFF)
-        # The kernel recently used its data, so the privileged line is
-        # warm — the standard Meltdown setting; the transient access then
-        # completes well inside the fault's shadow.
-        context.run_ops(
-            0, [MicroOp(OpKind.LOAD, pc=0x9100, addr=ADDR_SECRET, size=1)]
-        )
-        receiver = FlushReloadReceiver(
-            context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
-        )
-        receiver.flush()
-        # Widen the transient window past the fault.
-        context.flush(ADDR_DELAY)
-        ops, wrong = _attack_ops()
-        context.run_ops(0, ops, wrong)
-        latencies = receiver.reload()
-    hits = receiver.hits(latencies)
-    recovered = hits[0] if len(hits) == 1 else None
-    return latencies, recovered
+    return _GADGET.run(config, secret, seed, sanitize)
+
+
+POC = PoC("meltdown_style", 199, run_meltdown_style_attack, specflow_program)

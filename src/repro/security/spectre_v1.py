@@ -21,7 +21,7 @@ scan shows a flat, all-miss profile (Figure 5).
 from __future__ import annotations
 
 from ..cpu.isa import MicroOp, OpKind
-from .channel import AttackContext
+from .channel import AttackContext, PoC
 from .flush_reload import FlushReloadReceiver
 
 #: Victim memory layout.
@@ -67,6 +67,36 @@ def victim_ops(index):
     return [bound_load, branch], {branch.uid: [access, transmit]}
 
 
+def _train(context, rounds):
+    """Mistrain the bounds check with in-bounds calls."""
+    for i in range(rounds):
+        context.run_ops(0, *victim_ops(i % 10))
+
+
+def _arm(context):
+    """The victim touches its secret architecturally (it is live data),
+    so the transient access hits the L1 and the access/transmit pair fits
+    comfortably inside the branch-resolution window; the attacker then
+    flushes B and the bound.  Returns the out-of-bounds call."""
+    context.run_ops(
+        0, [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)]
+    )
+    context.flush(ADDR_B, NUM_VALUES * LINE)
+    context.flush(ADDR_LIMIT)
+    return victim_ops(OOB_INDEX)
+
+
+def prepare(context, secret):
+    """The pre-leak phase: plant the secret, mistrain, warm the secret and
+    flush.  Returns the leak phase, the out-of-bounds victim call."""
+    context.write_memory(ADDR_SECRET, secret & 0xFF)
+    context.write_memory(ADDR_LIMIT, 10)
+    for i in range(10):
+        context.write_memory(ADDR_A + i, i)
+    _train(context, 24)
+    return _arm(context)
+
+
 def specflow_program():
     """The victim as a specflow program: one trained in-bounds call
     followed by the out-of-bounds call that leaks.  Only the dependent
@@ -85,83 +115,23 @@ def specflow_program():
         secret_ranges=((ADDR_SECRET, ADDR_SECRET + 1),),
         description="bounds-check bypass: B[64 * A[a]] on the wrong path",
         expected_transmit={"spectre": (0x7020,), "futuristic": (0x7020,)},
+        prepare=prepare,
     )
-
-
-class SpectreV1Attack:
-    """The end-to-end attack on one simulated core."""
-
-    def __init__(self, config, seed=0, sanitize=None):
-        self.context = AttackContext(
-            config, num_cores=1, seed=seed, sanitize=sanitize
-        )
-        self.core_id = 0
-        self.receiver = FlushReloadReceiver(
-            self.context,
-            self.core_id,
-            [ADDR_B + LINE * v for v in range(NUM_VALUES)],
-        )
-
-    def plant_secret(self, secret):
-        self.context.write_memory(ADDR_SECRET, secret & 0xFF)
-        self.context.write_memory(ADDR_LIMIT, 10)
-        for i in range(10):
-            self.context.write_memory(ADDR_A + i, i)
-
-    def victim_uses_secret(self):
-        """The victim touches its secret architecturally (it is live data),
-        so the transient access hits the L1 and the access/transmit pair
-        fits comfortably inside the branch-resolution window."""
-        self.context.run_ops(
-            self.core_id,
-            [MicroOp(OpKind.LOAD, pc=0x6100, addr=ADDR_SECRET, size=1)],
-        )
-
-    # ----------------------------------------------------------- victim code
-
-    def _victim_ops(self, index):
-        return victim_ops(index)
-
-    # ----------------------------------------------------------- attack phases
-
-    def train(self, rounds=24):
-        """Mistrain the bounds check with in-bounds calls."""
-        for i in range(rounds):
-            ops, wrong = self._victim_ops(i % 10)
-            self.context.run_ops(self.core_id, ops, wrong)
-
-    def attack_once(self):
-        """flush(B); flush(limit); call victim(OOB); scan(B).
-
-        Returns the per-index reload latencies (one Figure 5 trial).
-        """
-        self.receiver.flush()
-        self.context.flush(ADDR_LIMIT)
-        ops, wrong = self._victim_ops(OOB_INDEX)
-        self.context.run_ops(self.core_id, ops, wrong)
-        return self.receiver.reload()
-
-    def recover_secret(self, latencies):
-        """The attacker's guess: the uniquely-fast line, or None."""
-        hits = self.receiver.hits(latencies)
-        if len(hits) == 1:
-            return hits[0]
-        if hits:
-            return min(hits, key=lambda i: latencies[i])
-        return None
 
 
 def run_spectre_v1(config, secret=84, trials=3, seed=0, sanitize=None):
     """Run the full PoC; returns ``(median_latencies, recovered_secret)``.
 
     ``median_latencies[v]`` is the median reload latency of B's line *v*
-    across trials — the y-values of Figure 5.
+    across trials — the y-values of Figure 5.  The attacker's guess is
+    the uniquely-fast line, else the fastest hit, else None.
     """
-    attack = SpectreV1Attack(config, seed=seed, sanitize=sanitize)
     all_latencies = []
-    with attack.context:
-        attack.plant_secret(secret)
-        attack.train()
+    with AttackContext(config, seed=seed, sanitize=sanitize) as context:
+        receiver = FlushReloadReceiver(
+            context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
+        )
+        leak = prepare(context, secret)
         for trial in range(trials):
             if trial:
                 # The out-of-bounds call taught the predictor not-taken;
@@ -169,11 +139,20 @@ def run_spectre_v1(config, secret=84, trials=3, seed=0, sanitize=None):
                 # attacker.  It takes > global-history-bits all-taken
                 # executions for the attack-time history pattern to be a
                 # trained index again.
-                attack.train(rounds=20)
-            attack.victim_uses_secret()
-            all_latencies.append(attack.attack_once())
+                _train(context, 20)
+                leak = _arm(context)
+            context.run_ops(0, *leak)
+            all_latencies.append(receiver.reload())
     medians = [
         sorted(lat[v] for lat in all_latencies)[len(all_latencies) // 2]
         for v in range(NUM_VALUES)
     ]
-    return medians, attack.recover_secret(medians)
+    hits = receiver.hits(medians)
+    if len(hits) == 1:
+        return medians, hits[0]
+    if hits:
+        return medians, min(hits, key=lambda i: medians[i])
+    return medians, None
+
+
+POC = PoC("spectre_v1", 84, run_spectre_v1, specflow_program)

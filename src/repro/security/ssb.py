@@ -13,8 +13,8 @@ IS-Future does — exactly the paper's point about Futuristic attacks.
 from __future__ import annotations
 
 from ..cpu.isa import MicroOp, OpKind
-from .channel import AttackContext
-from .flush_reload import FlushReloadReceiver
+from .channel import PoC
+from .flush_reload import run_flush_reload
 
 ADDR_P = 0x0003_0000  # buffer slot holding the stale secret
 ADDR_PTR = 0x0003_1000  # pointer the store's address depends on (flushed)
@@ -24,7 +24,8 @@ LINE = 64
 
 
 def _attack_ops():
-    """store *ptr = 0 (slow address); load P; transmit B[64 * value]."""
+    """store *ptr = 0 (slow address); load P; transmit B[64 * value].
+    All on the correct path: no wrong-path arms."""
     ptr_load = MicroOp(OpKind.LOAD, pc=0x8000, addr=ADDR_PTR, size=8, dst="p")
     overwrite = MicroOp(
         OpKind.STORE,
@@ -46,7 +47,23 @@ def _attack_ops():
         deps=(1,),
         label="transmit",
     )
-    return [ptr_load, overwrite, stale_read, transmit]
+    return [ptr_load, overwrite, stale_read, transmit], {}
+
+
+def prepare(context, secret):
+    """The pre-leak phase: leave the stale secret in the buffer, whose
+    line is cached (the buffer was just in use, which is why it holds a
+    stale secret), so the stale read performs immediately, well before
+    the slow-to-resolve store detects the alias; then flush B and the
+    pointer the store's address depends on.  Returns the attack ops."""
+    context.write_memory(ADDR_P, secret & 0xFF)
+    context.write_memory(ADDR_PTR, ADDR_P.to_bytes(8, "little"))
+    context.run_ops(
+        0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=ADDR_P, size=1)]
+    )
+    context.flush(ADDR_B, NUM_VALUES * LINE)
+    context.flush(ADDR_PTR)
+    return _attack_ops()
 
 
 def specflow_program():
@@ -56,43 +73,28 @@ def specflow_program():
     futuristic model flags it (IS-Spectre does not block SSB)."""
     from ..specflow.programs import SpecProgram
 
-    def build():
-        return _attack_ops(), {}
-
     return SpecProgram(
         name="ssb",
-        builder=build,
+        builder=_attack_ops,
         secret_ranges=((ADDR_P, ADDR_P + 1),),
         description="speculative store bypass: stale-secret read and transmit",
         expected_transmit={"spectre": (), "futuristic": (0x800C,)},
+        prepare=prepare,
     )
 
 
 def run_ssb_attack(config, secret=113, seed=0, sanitize=None):
     """Run the SSB attack; returns ``(latencies, recovered_value)``."""
-    with AttackContext(
-        config, num_cores=1, seed=seed, sanitize=sanitize
-    ) as context:
-        # The stale secret in the buffer:
-        context.write_memory(ADDR_P, secret & 0xFF)
-        context.write_memory(ADDR_PTR, ADDR_P.to_bytes(8, "little"))
-        # The buffer was just in use (that is why it holds a stale secret),
-        # so its line is cached: the stale read performs immediately, well
-        # before the slow-to-resolve store detects the alias.
-        context.run_ops(
-            0, [MicroOp(OpKind.LOAD, pc=0x8100, addr=ADDR_P, size=1)]
-        )
-        receiver = FlushReloadReceiver(
-            context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
-        )
-        receiver.flush()
-        context.flush(ADDR_PTR)  # make the store's address resolve slowly
-        context.run_ops(0, _attack_ops())
-        latencies = receiver.reload()
-    hits = receiver.hits(latencies)
+    latencies, hits = run_flush_reload(
+        prepare, secret, [ADDR_B + LINE * v for v in range(NUM_VALUES)],
+        config, seed, sanitize,
+    )
     # Architecturally the load re-executes after the alias squash and reads
     # the sanitized value 0, so B[0] is legitimately cached; the *leak* is
     # any other hot line.
     leaked = [v for v in hits if v != 0]
     recovered = leaked[0] if len(leaked) == 1 else None
     return latencies, recovered
+
+
+POC = PoC("ssb", 113, run_ssb_attack, specflow_program)

@@ -1,12 +1,14 @@
-"""The program corpus the analyzer runs over.
+"""The program corpus the analyzer runs over, and the runner that
+fingerprints a program on the live pipeline.
 
 Three families:
 
-* **attack programs** — each PoC in :mod:`repro.security` exports a
-  ``specflow_program()`` describing its victim code (ops + wrong-path
-  arms + secret layout).  These are the analyzer's ground truth: every
-  one must classify its transmitter load TRANSMIT with a witness chain
-  that names the access and the transmit.
+* **attack programs** — each PoC in the :data:`repro.security.POCS`
+  registry exports its victim code as a :class:`SpecProgram` (ops +
+  wrong-path arms + secret layout + the PoC's pre-leak phase).  These
+  are the analyzer's ground truth: every one must classify its
+  transmitter load TRANSMIT with a witness chain that names the access
+  and the transmit.
 * **hardened programs** — victims that *touch* the secret transiently
   but provably cannot leak it, one per v2 precision layer (value
   collapse, squash-window reachability, path splitting).  Every load
@@ -17,25 +19,29 @@ Three families:
   (correct path plus materialized wrong-path arms).  They touch no
   declared secrets, so every load must come out SAFE; that emptiness is
   what lets ``Scheme.SELECTIVE`` run workloads at baseline speed.
+
+:func:`fingerprint_runs` is the one dynamic oracle behind both the
+curated evidence harness (:mod:`repro.specflow.evidence`) and the fuzz
+harness (:mod:`repro.fuzz.harness`).
 """
 
 from __future__ import annotations
 
+from ..configs import ProcessorConfig, Scheme
 from ..cpu import isa
 from ..cpu.isa import Expr, MicroOp, OpKind
-from ..security import (
-    cross_core,
-    exception_attacks,
-    meltdown_style,
-    spectre_v1,
-    ssb,
-)
+from ..invisispec.policy import ISFuturePolicy, ISSpectrePolicy
+from ..security import POCS
+from ..security.channel import AttackContext
 from ..workloads import spec_trace
 
 __all__ = [
+    "PHASE_CYCLES",
+    "SECRETS",
     "SpecProgram",
     "all_programs",
     "attack_programs",
+    "fingerprint_runs",
     "hardened_programs",
     "workload_programs",
 ]
@@ -54,8 +60,11 @@ class SpecProgram:
     cross-validation oracle for tests and ``--check``.  ``setup`` is the
     optional dynamic-environment dict (fuzz-harness shape:
     ``secret_addr``/``secret_size``/``writes``/``warm``/``flush``) that
-    squash-window discharge proofs consult; without one, those proofs
-    are simply unavailable.
+    squash-window discharge proofs consult and that
+    :func:`fingerprint_runs` replays; without one, those proofs are
+    simply unavailable.  A PoC's program instead carries its pre-leak
+    phase, ``prepare(context, secret)``, which returns the leak phase's
+    ``(ops, wrong_paths)``, and the number of ``cores`` it runs on.
     """
 
     __slots__ = (
@@ -64,17 +73,21 @@ class SpecProgram:
         "secret_ranges",
         "expected_transmit",
         "setup",
+        "prepare",
+        "cores",
         "_builder",
     )
 
     def __init__(self, name, builder, secret_ranges=(), description="",
-                 expected_transmit=None, setup=None):
+                 expected_transmit=None, setup=None, prepare=None, cores=1):
         self.name = name
         self._builder = builder
         self.secret_ranges = tuple(secret_ranges)
         self.description = description
         self.expected_transmit = dict(expected_transmit or {})
         self.setup = setup
+        self.prepare = prepare
+        self.cores = cores
 
     def build(self):
         """Materialize ``(ops, wrong_paths)`` with a fresh uid space."""
@@ -93,20 +106,123 @@ class SpecProgram:
         return f"SpecProgram({self.name!r})"
 
 
+# ------------------------------------------------------ fingerprint runner
+
+#: two secrets that land on different transmission-array lines for every
+#: PoC alphabet (they differ mod 256 and mod 64) and under every mask the
+#: fuzz generator emits.
+SECRETS = (41, 174)
+#: default simulated-cycle budget of each replayed setup phase and of
+#: the leak phase
+PHASE_CYCLES = 2_000_000
+#: PC of the setup replay's warm-up loads (never analyzed)
+_PC_WARM = 0x5000
+
+
+def _replay_setup(context, prog, secret, phase_cycles):
+    """The pre-leak phase of a program carrying a ``setup`` recipe: plant
+    the secret, write, warm, flush.  The program ops are built *first*,
+    before any phase of the fresh context runs (a fresh uid space), so
+    the warm-up ops drawn afterwards can never collide with a wrong-path
+    arm key.  Returns the built program."""
+    ops, wrong_paths = prog.build()
+    setup = prog.setup
+    context.write_memory(
+        setup["secret_addr"], [secret & 0xFF] * setup["secret_size"]
+    )
+    for addr, data in setup["writes"]:
+        context.write_memory(addr, list(data))
+    warm_ops = [
+        MicroOp(OpKind.LOAD, pc=_PC_WARM + 0x10 * i, addr=addr, size=1)
+        for i, addr in enumerate(setup["warm"])
+    ]
+    if warm_ops:
+        context.run_ops(
+            0, warm_ops, max_cycles=context.kernel.cycle + phase_cycles
+        )
+    for addr in setup["flush"]:
+        context.flush(addr)
+    return ops, wrong_paths
+
+
+def _fingerprint(prog, secret, watchdog, heartbeat, phase_cycles):
+    """One run of :func:`fingerprint_runs`."""
+    future_judge = ISFuturePolicy()
+    spectre_judge = ISSpectrePolicy()
+    futuristic, spectre = {}, {}
+
+    def probe(core, entry, unsafe_speculative):
+        line = entry.lq_entry.line_addr
+        pc = entry.op.pc
+        if entry.is_wrong_path or not future_judge.load_is_safe(core, entry):
+            futuristic.setdefault(pc, set()).add(line)
+        if not spectre_judge.load_is_safe(core, entry):
+            spectre.setdefault(pc, set()).add(line)
+
+    isa.reset_uids()
+    config = ProcessorConfig(scheme=Scheme.BASE)
+    with AttackContext(config, num_cores=prog.cores) as context:
+        if watchdog is not None:
+            context.kernel.watchdog = watchdog
+        if heartbeat is not None:
+            context.kernel.heartbeat = heartbeat
+        if prog.prepare is not None:
+            ops, wrong_paths = prog.prepare(context, secret)
+        else:
+            ops, wrong_paths = _replay_setup(
+                context, prog, secret, phase_cycles
+            )
+        for core in context.system.cores:
+            core.attach_load_issue_probe(
+                probe, future_judge.reads | spectre_judge.reads
+            )
+        context.run_ops(
+            0, ops, wrong_paths, max_cycles=context.kernel.cycle + phase_cycles
+        )
+    # The kernel's clock stays readable after the release.
+    return {"spectre": spectre, "futuristic": futuristic}, context.kernel.cycle
+
+
+def fingerprint_runs(prog, secrets=SECRETS, watchdog=None, heartbeat=None,
+                     phase_cycles=PHASE_CYCLES):
+    """Run ``prog`` once per secret on the insecure Base machine and
+    fingerprint its leak phase.
+
+    The pre-leak phase is the PoC's own ``prepare`` or, for a program
+    with a ``setup`` recipe, its replay.  Each replayed warm-up phase and
+    the leak phase get ``phase_cycles`` simulated cycles; the watchdog
+    and heartbeat go on the kernel.  Then a load-issue probe
+    (:meth:`~repro.cpu.core.Core.attach_load_issue_probe`) records, per
+    attack model, the cache line of every load issue that model deems
+    unsafe-speculative: ``futuristic`` when the load is on the wrong path
+    or an :class:`~repro.invisispec.policy.ISFuturePolicy` does not judge
+    it safe; ``spectre`` when an
+    :class:`~repro.invisispec.policy.ISSpectrePolicy` does not, with no
+    wrong-path disjunct (a load under a pure exception shadow is
+    invisible to a branch-only attacker).  Base itself protects nothing
+    and reads no tracker, which is the point: the probe sees what an
+    attacker could.
+
+    Returns ``(runs, cycles)``: one ``{model: {pc: set(line_addr)}}`` per
+    secret, and the simulated cycles of all runs together.
+    """
+    results = [
+        _fingerprint(prog, secret, watchdog, heartbeat, phase_cycles)
+        for secret in secrets
+    ]
+    return (
+        [fingerprints for fingerprints, _cycles in results],
+        sum(cycles for _fingerprints, cycles in results),
+    )
+
+
 # ----------------------------------------------------------- attack corpus
 
 
 def attack_programs():
-    """One :class:`SpecProgram` per security PoC (exception variants
-    expand to one each), in deterministic name order."""
-    programs = [
-        spectre_v1.specflow_program(),
-        meltdown_style.specflow_program(),
-        ssb.specflow_program(),
-        cross_core.specflow_program(),
-    ]
-    programs.extend(exception_attacks.specflow_programs())
-    return sorted(programs, key=lambda p: p.name)
+    """One :class:`SpecProgram` per registered security PoC, in name
+    order."""
+    return [poc.program() for poc in POCS]
 
 
 # --------------------------------------------------------- hardened corpus

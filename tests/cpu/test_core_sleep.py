@@ -17,18 +17,7 @@ from repro.configs import ALL_SCHEMES, ConsistencyModel, ProcessorConfig, Scheme
 from repro.cpu.core import Core
 from repro.cpu.isa import MicroOp, OpKind
 from repro.params import SystemParams
-from repro.security import (
-    VARIANTS,
-    channel,
-    cross_core,
-    exception_attacks,
-    run_cross_core_attack,
-    run_exception_attack,
-    run_spectre_v1,
-    run_ssb_attack,
-    spectre_v1,
-    ssb,
-)
+from repro.security import POCS, channel, cross_core, flush_reload, spectre_v1
 from repro.sim.kernel import SimKernel
 
 from ..golden.matrix import Cell, cell_id, run_cell
@@ -128,17 +117,6 @@ def test_every_skipped_tick_would_have_been_idle(cell, monkeypatch):
 
 # Attack programs are finite, multi-phase program traces: their cores run
 # dry, get reopened between phases and wait on single probe loads.
-ATTACKS = {
-    "spectre_v1": run_spectre_v1,
-    "ssb": run_ssb_attack,
-    "cross_core": run_cross_core_attack,
-    **{
-        f"exception_{variant}": (
-            lambda config, variant=variant: run_exception_attack(config, variant)
-        )
-        for variant in VARIANTS
-    },
-}
 
 
 _CORUNNER_BASE = 0x0900_0000
@@ -188,15 +166,16 @@ class _CoRunnerContext(channel.AttackContext):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
-@pytest.mark.parametrize("attack", sorted(ATTACKS))
+@pytest.mark.parametrize("attack", POCS, ids=lambda poc: poc.name)
 def test_attack_programs_shadow_ticks_are_idle(attack, scheme, monkeypatch):
-    for module in (spectre_v1, ssb, cross_core, exception_attacks):
+    # The modules that build a PoC's machine.
+    for module in (spectre_v1, cross_core, flush_reload):
         monkeypatch.setattr(module, "AttackContext", _CoRunnerContext)
     config = ProcessorConfig(scheme=scheme)
-    normal = ATTACKS[attack](config)
+    normal = attack.run(config)
     shadowed = []
     _shadow_kernel(monkeypatch, shadowed)
-    assert ATTACKS[attack](config) == normal
+    assert attack.run(config) == normal
     # The attack's own core (core 0 in every PoC) really sleeps.
     assert shadowed.count(0) > 0, shadowed
 

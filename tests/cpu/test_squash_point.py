@@ -30,11 +30,7 @@ from repro.cpu.core import Core
 from repro.cpu.tracking import LazyMinTracker, SquashPoint, SquashTracker
 from repro.invisispec.policy import ISFuturePolicy
 from repro.runner import run_parsec
-from repro.security.cross_core import run_cross_core_attack
-from repro.security.exception_attacks import VARIANTS, run_exception_attack
-from repro.security.meltdown_style import run_meltdown_style_attack
-from repro.security.spectre_v1 import run_spectre_v1
-from repro.security.ssb import run_ssb_attack
+from repro.security import POCS
 
 from ..golden.matrix import CELLS, Cell, cell_id, run_cell
 
@@ -120,22 +116,6 @@ def _config(scheme, model=ConsistencyModel.TSO):
     return ProcessorConfig(scheme=scheme, consistency=model)
 
 
-POCS = {
-    "spectre_v1": lambda config: run_spectre_v1(config, trials=1),
-    "meltdown_style": run_meltdown_style_attack,
-    "ssb": run_ssb_attack,
-    "cross_core": run_cross_core_attack,
-    **{
-        f"exception_{variant}": (
-            lambda config, variant=variant: run_exception_attack(
-                config, variant
-            )
-        )
-        for variant in VARIANTS
-    },
-}
-
-
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=cell_id)
 def test_golden_cells_agree_at_every_query(cell, monkeypatch):
     checker = _Checker(monkeypatch)
@@ -145,10 +125,10 @@ def test_golden_cells_agree_at_every_query(cell, monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES, ids=lambda s: s.value)
-@pytest.mark.parametrize("poc", sorted(POCS))
+@pytest.mark.parametrize("poc", POCS, ids=lambda poc: poc.name)
 def test_pocs_agree_at_every_query(poc, scheme, monkeypatch):
     checker = _Checker(monkeypatch)
-    POCS[poc](_config(scheme))
+    poc.run(_config(scheme))
     assert checker.queries > 0
     assert checker.mismatches == []
 

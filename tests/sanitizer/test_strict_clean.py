@@ -15,8 +15,8 @@ from repro.cpu.isa import MicroOp, OpKind
 from repro.cpu.trace import ProgramTrace
 from repro.params import SystemParams
 from repro.runner import run_parsec, run_spec
+from repro.security import AttackContext, spectre_v1
 from repro.security.cross_core import run_cross_core_attack
-from repro.security.spectre_v1 import SpectreV1Attack
 from repro.system import System
 
 IS_SCHEMES = (Scheme.IS_SPECTRE, Scheme.IS_FUTURE)
@@ -77,13 +77,11 @@ class TestAttacksClean:
 
     @pytest.mark.parametrize("scheme", IS_SCHEMES)
     def test_spectre_v1_under_invisispec(self, scheme):
-        attack = SpectreV1Attack(
+        with AttackContext(
             ProcessorConfig(scheme=scheme), sanitize="strict"
-        )
-        attack.plant_secret(84)
-        attack.train()
-        attack.attack_once()
-        report = attack.context.sanitizer.report()
+        ) as context:
+            context.run_ops(0, *spectre_v1.prepare(context, 84))
+            report = context.sanitizer.report()
         assert_clean(report)
         assert report["checks"]["visibility"] > 0
 

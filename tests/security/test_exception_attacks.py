@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ProcessorConfig, Scheme
-from repro.security import VARIANTS, run_exception_attack
+from repro.security import POCS, VARIANTS, run_exception_attack
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -35,11 +35,25 @@ class TestVariantValidation:
         with pytest.raises(ValueError):
             run_exception_attack(ProcessorConfig(), variant="spectre-v9")
 
-    def test_attack_matrix_shape(self):
-        from repro.security.exception_attacks import attack_matrix
 
-        matrix = attack_matrix(
-            (Scheme.BASE, Scheme.IS_FUTURE), variants=("meltdown",)
+
+def test_registry_matrix():
+    """{PoC: (leaks on Base, leaks on IS-Fu)} over the whole registry:
+    every PoC recovers its secret on the insecure baseline, and
+    InvisiSpec-Future blocks every one."""
+    matrix = {
+        poc.name: tuple(
+            poc.run(ProcessorConfig(scheme=scheme))[1] == poc.secret
+            for scheme in (Scheme.BASE, Scheme.IS_FUTURE)
         )
-        assert matrix["meltdown"][Scheme.BASE] is True
-        assert matrix["meltdown"][Scheme.IS_FUTURE] is False
+        for poc in POCS
+    }
+    assert matrix == {poc.name: (True, False) for poc in POCS}
+
+
+def test_registry_lists_every_attack_program():
+    from repro.specflow import attack_programs
+
+    names = [poc.name for poc in POCS]
+    assert names == sorted(names)
+    assert names == [prog.name for prog in attack_programs()]
