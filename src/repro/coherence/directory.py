@@ -105,8 +105,5 @@ class Directory:
             others.add(entry.owner)
         return tuple(sorted(others))
 
-    def all_entries(self):
-        return list(self._entries.values())
-
     def __len__(self):
         return len(self._entries)

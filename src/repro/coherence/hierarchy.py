@@ -116,7 +116,7 @@ class CacheHierarchy:
     #: Cycles a dirty write-back stays in flight (directory transient).
     WRITEBACK_DELAY = 6
 
-    def __init__(self, params, kernel, image, counters, seed=0, faults=None):
+    def __init__(self, params, kernel, image, counters, faults=None):
         self.params = params
         self.kernel = kernel
         self.image = image
@@ -134,12 +134,12 @@ class CacheHierarchy:
         self.dram = DRAMModel(latency=params.dram_latency, faults=faults)
         self.num_banks = params.num_l2_banks
         self.l1s = [
-            CacheArray(params.l1d, MESIState.INVALID, seed=seed + i)
-            for i in range(params.num_cores)
+            CacheArray(params.l1d, MESIState.INVALID)
+            for _ in range(params.num_cores)
         ]
         self.l2 = [
-            CacheArray(params.l2_bank, MESIState.INVALID, seed=seed + 100 + b)
-            for b in range(self.num_banks)
+            CacheArray(params.l2_bank, MESIState.INVALID)
+            for _ in range(self.num_banks)
         ]
         self.dirs = [Directory(b) for b in range(self.num_banks)]
         self.mshrs = [

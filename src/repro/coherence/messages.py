@@ -25,7 +25,3 @@ class MessageType(enum.Enum):
     NACK = "Nack"  # Spec-GetS bounce
     WRITEBACK = "Writeback"  # dirty line to its home bank
     WB_ACK = "WB-Ack"
-
-    @property
-    def carries_data(self):
-        return self in (MessageType.DATA, MessageType.WRITEBACK)

@@ -74,10 +74,6 @@ class ProcessorConfig:
       when no earlier load is outstanding (Section V-C1).
     * ``early_squash`` — squash validation-needing USLs when their line is
       invalidated (Section V-C2).
-    * ``base_squash_on_l1_eviction`` — whether the *baseline* conservatively
-      squashes in-flight loads when their line is evicted from the L1
-      (Section IX-C notes existing processors do; InvisiSpec does not need
-      to for exposure-marked loads).
 
     ``protected_pcs`` is only meaningful for :attr:`Scheme.SELECTIVE`: the
     static load PCs the specflow analysis classified TRANSMIT/UNKNOWN.
@@ -89,7 +85,6 @@ class ProcessorConfig:
     llc_sb_enabled: bool = True
     val_to_exp_optimization: bool = True
     early_squash: bool = True
-    base_squash_on_l1_eviction: bool = True
     protected_pcs: frozenset = frozenset()
 
     def __post_init__(self):

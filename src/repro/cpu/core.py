@@ -32,8 +32,8 @@ that can change what a tick does from outside the core's own tick is a
 * ``_issue_load_to_memory``, whose TLB-walk event moves a load out of the
   unclassified vstate that stops the in-order visibility scan;
 * ``_on_store_performed``, the visibility engine's ``_on_complete``, the
-  L1-I fill's :meth:`Core.wake`, the hierarchy's
-  ``on_invalidation``/``on_l1_eviction``, ``squash_load`` and ``reopen``.
+  hierarchy's ``on_invalidation``/``on_l1_eviction``, ``squash_load`` and
+  ``reopen``.
 
 Two callbacks change nothing a tick reads, so they do not wake: data for
 a load a store forward already completed only fills its SB line (an SB
@@ -46,10 +46,10 @@ ticks the core at every step, flag or not.
 A tick's own changes are seen by the stages after it in the same tick
 (the order above), so a tick sets the flag only for a change that an
 earlier stage, or the same stage on the next tick, acts on: issuing a
-validation, exposure or deferred TLB walk, starting an L1-I fill, the
-trace running dry.  That tick then reports ``"waiting"``.  Marking a
-fence done, in ``_retire`` or ``_tick_fences``, needs no flag: the later
-stages see it, and each op it releases wakes the core when it completes.
+validation, exposure or deferred TLB walk, or the trace running dry.
+That tick then reports ``"waiting"``.  Marking a fence done, in
+``_retire`` or ``_tick_fences``, needs no flag: the later stages see it,
+and each op it releases wakes the core when it completes.
 While asleep the core owes the kernel the idle tick's stall counters once
 per skipped tick; :meth:`Core.credit_idle_ticks` pays them.
 """
@@ -175,17 +175,9 @@ class Core:
             self.visibility = None
 
         node = core_id % params.network.num_nodes
-        if params.model_l1i:
-            from .ifetch import InstructionFetchUnit
-
-            self.ifetch = InstructionFetchUnit(params, hierarchy.noc, node, node)
-            self.icache = ICacheTrafficModel(hierarchy.noc, node, node, 0.0)
-        else:
-            self.ifetch = None
-            self.icache = ICacheTrafficModel(
-                hierarchy.noc, node, node, icache_miss_rate
-            )
-        self._ifetch_pending = None  # (pos, op, is_wrong_path) awaiting fill
+        self.icache = ICacheTrafficModel(
+            hierarchy.noc, node, node, icache_miss_rate
+        )
 
         self.replay = ReplayStream(trace_source, on_end=self.wake)
         self._fetch_queue = deque()
@@ -230,12 +222,10 @@ class Core:
 
         #: Set by every waking entry point; cleared at the start of a tick.
         self.wake_requested = False
-        # The stall counter the last tick's retire/dispatch stage bumped,
-        # and whether its frontend waited on an L1-I fill: what a skipped
-        # idle tick would have bumped (credit_idle_ticks).
+        # The stall counter the last tick's retire/dispatch stage bumped:
+        # what a skipped idle tick would have bumped (credit_idle_ticks).
         self._retire_stall = None
         self._dispatch_stall = None
-        self._fetch_stalled = False
 
         self.tracelog = tracelog
         self.env = {}
@@ -367,7 +357,6 @@ class Core:
         now = self.kernel.cycle
         self.wake_requested = False
         self._retire_stall = self._dispatch_stall = None
-        self._fetch_stalled = False
         work = 0
         if self._check_interrupt(now):
             work += 1
@@ -411,8 +400,6 @@ class Core:
             counts[self._retire_stall] += ticks
         if self._dispatch_stall is not None:
             counts[self._dispatch_stall] += ticks
-        if self._fetch_stalled:
-            self.ifetch.stat_stall_cycles += ticks
 
     # ------------------------------------------------------------- interrupts
 
@@ -430,20 +417,9 @@ class Core:
     # ----------------------------------------------------------------- fetch
 
     def _fill_fetch_queue(self):
-        now = self.kernel.cycle
         fetched = 0
         limit = 2 * self.width
         while len(self._fetch_queue) < limit:
-            if self._ifetch_pending is not None:
-                # Frontend stalled on an L1-I miss.
-                if not self.ifetch.ready(now):
-                    self._fetch_stalled = True
-                    break
-                pos, op, is_wp = self._ifetch_pending
-                self._ifetch_pending = None
-                self._enqueue_fetched(pos, op, is_wp)
-                fetched += 1
-                continue
             if self._wrong_path_branch is not None:
                 op = self.replay.wrong_path_op(
                     self._wrong_path_branch.op, self._wp_index
@@ -458,24 +434,12 @@ class Core:
                     break
                 pos, op = item
                 is_wp = False
-            if self.ifetch is not None and not self.ifetch.access(now, op.pc):
-                self._ifetch_pending = (pos, op, is_wp)
-                self.wake_requested = True
-                # The fill's event wakes the core when the line lands, and
-                # anchors the kernel's fast-forward at the ready time.
-                self.kernel.schedule(self.ifetch.miss_latency, self.wake)
-                break
             self._enqueue_fetched(pos, op, is_wp)
             fetched += 1
         if fetched:
             self.icache.on_fetch(fetched)
             self._counts["core.fetched_ops"] += fetched
         return fetched
-
-    def _drop_pending_ifetch(self):
-        if self._ifetch_pending is not None:
-            self._ifetch_pending = None
-            self.ifetch.cancel()
 
     def _enqueue_fetched(self, pos, op, is_wrong_path):
         if self._pending_front_fence or (
@@ -603,7 +567,6 @@ class Core:
         """Frontend follows the misprediction: purge the queued correct-path
         ops, rewind the replay stream, and start the wrong-path stream."""
         self._fetch_queue.clear()
-        self._drop_pending_ifetch()
         if branch_entry.stream_pos is not None:
             self.replay.rewind_to(branch_entry.stream_pos + 1)
         self._wrong_path_branch = branch_entry
@@ -1309,7 +1272,6 @@ class Core:
             self.predictor.squash_restore(oldest_branch_checkpoint)
 
         self._fetch_queue.clear()
-        self._drop_pending_ifetch()
         self._wrong_path_branch = None
         self._wp_index = 0
         if refetch_pos is not None:
@@ -1341,8 +1303,9 @@ class Core:
             # protected by their exposure, V-marked by their validation
             # (Section IX-C).
             return
-        if self.config.base_squash_on_l1_eviction:
-            self._conventional_consistency_check(line_addr, eviction=True)
+        # The other schemes squash on an eviction as existing processors
+        # conservatively do (Section IX-C).
+        self._conventional_consistency_check(line_addr, eviction=True)
 
     def _conventional_consistency_check(self, line_addr, eviction):
         """Squash a performed, unretired, visibly-loaded load on its line's

@@ -77,15 +77,6 @@ class LoadQueueEntry:
         self.issue_cycle = None
         self.visibility_issue_cycle = None
 
-    @property
-    def needs_visibility_action(self):
-        """USL that has not yet issued its validation/exposure."""
-        return (
-            self.valid
-            and self.vstate in (STATE_EXPOSURE, STATE_VALIDATION)
-            and not self.visibility_issued
-        )
-
     def __repr__(self):
         return (
             f"LQEntry(idx={self.index}, seq={self.seq}, addr={self.addr}, "

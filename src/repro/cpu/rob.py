@@ -120,12 +120,6 @@ class ReorderBuffer:
             squashed.append(entry)
         return squashed
 
-    def entries_older_than(self, seq):
-        for entry in self._entries:
-            if entry.seq >= seq:
-                break
-            yield entry
-
     def find(self, seq):
         for entry in self._entries:
             if entry.seq == seq:

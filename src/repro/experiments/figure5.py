@@ -13,16 +13,15 @@ from ..security.spectre_v1 import NUM_VALUES, run_spectre_v1
 from .common import ExperimentResult
 
 
-def run(secret=84, trials=3, seed=0, sample_every=8, **_ignored):
+def run(secret=84, trials=3, sample_every=8, **_ignored):
     """Regenerate Figure 5; rows sample every ``sample_every`` indices (the
     full 256-point series is in ``extras``)."""
     base_lat, base_guess = run_spectre_v1(
-        ProcessorConfig(scheme=Scheme.BASE), secret=secret, trials=trials,
-        seed=seed,
+        ProcessorConfig(scheme=Scheme.BASE), secret=secret, trials=trials
     )
     issp_lat, issp_guess = run_spectre_v1(
         ProcessorConfig(scheme=Scheme.IS_SPECTRE), secret=secret,
-        trials=trials, seed=seed,
+        trials=trials,
     )
 
     headers = ["array index", "Base latency (cycles)", "IS-Sp latency (cycles)"]

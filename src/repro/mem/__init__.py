@@ -11,7 +11,6 @@ from .dram import DRAMModel
 from .memimage import MemoryImage
 from .mshr import MSHRFile
 from .prefetcher import StridePrefetcher
-from .replacement import make_replacement_policy
 from .tlb import DataTLB
 from .writebuffer import WriteBuffer
 
@@ -23,7 +22,6 @@ __all__ = [
     "MemoryImage",
     "MSHRFile",
     "StridePrefetcher",
-    "make_replacement_policy",
     "DataTLB",
     "WriteBuffer",
 ]

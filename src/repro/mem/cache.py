@@ -11,7 +11,7 @@ the paper leans on in Section IX-C).
 from __future__ import annotations
 
 from ..errors import SimulationError
-from .replacement import make_replacement_policy
+from .replacement import LRUPolicy
 
 
 class CacheLineEntry:
@@ -29,27 +29,25 @@ class CacheLineEntry:
 
 
 class CacheArray:
-    """Tag/state array with pluggable replacement.
+    """Tag/state array with LRU replacement.
 
     ``params`` is a :class:`repro.params.CacheParams`; ``invalid_state`` is
     the protocol's INVALID sentinel stored in freshly-reset entries.
     """
 
-    def __init__(self, params, invalid_state, seed=0):
+    def __init__(self, params, invalid_state):
         self.params = params
         self.invalid_state = invalid_state
         self.num_sets = params.num_sets
         self.ways = params.ways
         self.line_bytes = params.line_bytes
         self._line_shift = params.line_bytes.bit_length() - 1
-        self._seed = seed
         self._sets = [dict() for _ in range(self.num_sets)]  # line_addr -> entry
         # Free ways and replacement state of each set, made on the set's
         # first use (_open_set): most sets of a large L2 are never touched,
         # and a simulator build should not pay for them.
         self._free_ways = [None] * self.num_sets
         self._repl = [None] * self.num_sets
-        self._open_set(0)  # a bad replacement configuration fails here
         self._count = 0  # resident lines, maintained by insert/invalidate
         self.stat_hits = 0
         self.stat_misses = 0
@@ -61,9 +59,7 @@ class CacheArray:
         repl = self._repl[idx]
         if repl is None:
             self._free_ways[idx] = list(range(self.ways))
-            repl = self._repl[idx] = make_replacement_policy(
-                self.params.replacement, self.ways, seed=self._seed + idx
-            )
+            repl = self._repl[idx] = LRUPolicy(self.ways)
         return repl
 
     def set_index(self, line_addr):
@@ -131,9 +127,6 @@ class CacheArray:
         """All resident line addresses (diagnostics and attack receivers)."""
         for cset in self._sets:
             yield from cset.keys()
-
-    def lines_in_set(self, set_idx):
-        return list(self._sets[set_idx].keys())
 
     def flush_all(self):
         """Invalidate every line (e.g. attacker's clflush loop)."""

@@ -1,4 +1,4 @@
-"""Cache replacement policies: LRU, random, and tree-PLRU.
+"""Cache replacement: true LRU.
 
 A policy instance manages one cache set of ``ways`` slots.  Slots are
 identified by way index; the cache array calls :meth:`touch` on every access
@@ -6,10 +6,6 @@ and :meth:`victim` when it needs to evict.
 """
 
 from __future__ import annotations
-
-import random
-
-from ..errors import ConfigError
 
 
 class LRUPolicy:
@@ -37,97 +33,3 @@ class LRUPolicy:
     def state_digest(self):
         """Hashable snapshot of the recency order (sanitizer fingerprints)."""
         return tuple(self._order)
-
-
-class RandomPolicy:
-    """Random victim selection with a deterministic seeded stream."""
-
-    __slots__ = ("_ways", "_rng")
-
-    def __init__(self, ways, seed=0):
-        self._ways = ways
-        self._rng = random.Random(seed)
-
-    def touch(self, way):
-        pass
-
-    def victim(self):
-        return self._rng.randrange(self._ways)
-
-    def reset(self, way):
-        pass
-
-    def state_digest(self):
-        # Random replacement keeps no access history: touch() is a no-op,
-        # so there is no per-access state for a fingerprint to protect.
-        return None
-
-
-class TreePLRUPolicy:
-    """Tree pseudo-LRU over a power-of-two number of ways."""
-
-    __slots__ = ("_ways", "_bits")
-
-    def __init__(self, ways):
-        if ways & (ways - 1):
-            raise ConfigError(f"tree-PLRU needs power-of-two ways, got {ways}")
-        self._ways = ways
-        self._bits = [0] * max(ways - 1, 1)
-
-    def touch(self, way):
-        # Walk from the root, flipping each node to point away from `way`.
-        node = 0
-        lo, hi = 0, self._ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                self._bits[node] = 1  # point at upper half next time
-                node = 2 * node + 1
-                hi = mid
-            else:
-                self._bits[node] = 0  # point at lower half next time
-                node = 2 * node + 2
-                lo = mid
-
-    def victim(self):
-        node = 0
-        lo, hi = 0, self._ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._bits[node]:
-                node = 2 * node + 2
-                lo = mid
-            else:
-                node = 2 * node + 1
-                hi = mid
-        return lo
-
-    def reset(self, way):
-        # Point the tree toward `way` so it becomes the next victim.
-        node = 0
-        lo, hi = 0, self._ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                self._bits[node] = 0
-                node = 2 * node + 1
-                hi = mid
-            else:
-                self._bits[node] = 1
-                node = 2 * node + 2
-                lo = mid
-
-    def state_digest(self):
-        """Hashable snapshot of the tree bits (sanitizer fingerprints)."""
-        return tuple(self._bits)
-
-
-def make_replacement_policy(name, ways, seed=0):
-    """Factory: ``"lru"``, ``"random"`` or ``"plru"``."""
-    if name == "lru":
-        return LRUPolicy(ways)
-    if name == "random":
-        return RandomPolicy(ways, seed=seed)
-    if name == "plru":
-        return TreePLRUPolicy(ways)
-    raise ConfigError(f"unknown replacement policy {name!r}")

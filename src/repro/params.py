@@ -19,7 +19,10 @@ DRAM                      50 ns round trip after L2 (100 cycles at 2 GHz)
 ========================  =====================================================
 
 Every structure in the simulator takes its geometry from these dataclasses,
-so experiments can sweep any of them.
+so experiments can sweep any of them.  The L1-I row is the paper's
+parameter; like the paper, which evaluates the data hierarchy, the
+simulator models instruction fetch as NoC traffic at each workload's
+L1-I miss rate (:mod:`repro.cpu.icache`), not as a cache array.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class CacheParams:
     ways: int = 8
     round_trip_latency: int = 1
     ports: int = 3
-    replacement: str = "lru"
 
     def __post_init__(self):
         _positive("size_bytes", self.size_bytes)
@@ -62,8 +64,6 @@ class CacheParams:
                 "cache size must be divisible by line_bytes * ways: "
                 f"{self.size_bytes} / ({self.line_bytes} * {self.ways})"
             )
-        if self.replacement not in ("lru", "random", "plru"):
-            raise ConfigError(f"unknown replacement policy {self.replacement!r}")
 
     @property
     def num_lines(self):
@@ -166,11 +166,6 @@ class SystemParams:
     num_cores: int = 8
     frequency_ghz: float = 2.0
     core: CoreParams = field(default_factory=CoreParams)
-    l1i: CacheParams = field(
-        default_factory=lambda: CacheParams(
-            size_bytes=32 * 1024, ways=4, round_trip_latency=1, ports=1
-        )
-    )
     l1d: CacheParams = field(
         default_factory=lambda: CacheParams(
             size_bytes=64 * 1024, ways=8, round_trip_latency=1, ports=3
@@ -186,9 +181,6 @@ class SystemParams:
     network: NetworkParams = field(default_factory=NetworkParams)
     dram_latency: int = 100  # 50 ns at 2 GHz
     l2_remote_max_latency: int = 16
-    #: Model a real L1-I cache with fetch stalls instead of the default
-    #: traffic-only instruction-fetch model.
-    model_l1i: bool = False
 
     def __post_init__(self):
         _positive("num_cores", self.num_cores)

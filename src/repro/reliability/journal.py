@@ -113,13 +113,6 @@ class RunJournal:
     def completed_ids(self):
         return [cid for cid in self._cells if self.is_completed(cid)]
 
-    def failed_ids(self):
-        return [
-            cid
-            for cid, record in self._cells.items()
-            if record.get("status") != "ok"
-        ]
-
     def __len__(self):
         return len(self._cells)
 

@@ -115,7 +115,6 @@ def run_spec(
         max_instructions=instructions,
         warmup_instructions=warmup,
         icache_miss_rate=profile.icache_miss_rate,
-        seed=seed,
         faults=faults,
         watchdog=watchdog,
         heartbeat=heartbeat,
@@ -153,7 +152,6 @@ def run_parsec(
         max_instructions=instructions,
         warmup_instructions=warmup,
         icache_miss_rate=profile.icache_miss_rate,
-        seed=seed,
         faults=faults,
         watchdog=watchdog,
         heartbeat=heartbeat,

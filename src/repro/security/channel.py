@@ -34,7 +34,7 @@ class PoC(namedtuple("PoC", "name secret run program")):
     """One attack proof of concept, as the registry
     (:data:`repro.security.POCS`) lists it.
 
-    ``run(config, secret=secret, seed=0, sanitize=None)`` is the
+    ``run(config, secret=secret, sanitize=None)`` is the
     end-to-end attack, receiver included, and returns ``(latencies,
     recovered)``; ``secret`` is its default secret.  ``program()`` is the
     victim as a :class:`~repro.specflow.programs.SpecProgram`, which also
@@ -47,7 +47,7 @@ class PoC(namedtuple("PoC", "name secret run program")):
 class AttackContext:
     """A live simulated machine for phased attack experiments."""
 
-    def __init__(self, config, params=None, num_cores=1, seed=0, sanitize=None):
+    def __init__(self, config, params=None, num_cores=1, sanitize=None):
         if params is None:
             params = (
                 SystemParams.for_spec()
@@ -60,7 +60,7 @@ class AttackContext:
         self.config = config
         self.traces = [InteractiveTrace() for _ in range(params.num_cores)]
         self.system = System(
-            params=params, config=config, traces=self.traces, seed=seed,
+            params=params, config=config, traces=self.traces,
             sanitizer=sanitize,
         )
         self.sanitizer = self.system.sanitizer
@@ -96,17 +96,16 @@ class AttackContext:
             data = [data]
         self.image.write_bytes(addr, data)
 
-    def read_memory(self, addr, size=1):
-        return self.image.read(addr, size)
-
     # ------------------------------------------------------------- run a phase
 
     def run_ops(self, core_id, ops, wrong_paths=None, max_cycles=2_000_000):
-        """Execute ``ops`` to completion on ``core_id``'s pipeline."""
+        """Execute ``ops`` to completion on ``core_id``'s pipeline, raising
+        :class:`~repro.errors.SimTimeoutError` if the phase runs longer
+        than ``max_cycles`` cycles."""
         self._check_live()
         self.traces[core_id].feed(ops, wrong_paths)
         self.system.cores[core_id].reopen()
-        self.kernel.run(max_cycles=max_cycles)
+        self.kernel.run(max_cycles=self.kernel.cycle + max_cycles)
 
     # -------------------------------------------------- attacker's primitives
 
@@ -143,8 +142,3 @@ class AttackContext:
         if "cycle" not in outcome:
             raise SimulationError("probe load never completed")
         return outcome["cycle"] - start
-
-    def line_is_cached(self, core_id, addr):
-        """Ground-truth inspection (for tests): is the line in this L1?"""
-        line = self.space.line_of(addr)
-        return self.hierarchy.l1s[core_id].contains(line)

@@ -84,15 +84,13 @@ def specflow_program():
     )
 
 
-def run_cross_core_attack(config, secret=37, seed=0, sanitize=None):
+def run_cross_core_attack(config, secret=37, sanitize=None):
     """Victim on core 0, receiver probing from core 1.
 
     Returns ``(latencies, recovered_value)``; latencies are the receiver's
     per-line probe times through its own (cold) core.
     """
-    with AttackContext(
-        config, num_cores=CORES, seed=seed, sanitize=sanitize
-    ) as context:
+    with AttackContext(config, num_cores=CORES, sanitize=sanitize) as context:
         # The transient pair of the out-of-bounds call runs on core 0.
         context.run_ops(0, *prepare(context, secret))
         # The receiver probes from CORE 1: anything on chip answers fast.

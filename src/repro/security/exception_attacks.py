@@ -86,13 +86,13 @@ class ExceptionGadget:
         context.flush(self.delay_addr)
         return self.ops()
 
-    def run(self, config, secret, seed=0, sanitize=None):
+    def run(self, config, secret, sanitize=None):
         """FLUSH+RELOAD over the array; returns ``(latencies,
         recovered)``, recovered being the unique fast line or None."""
         latencies, hits = run_flush_reload(
             self.prepare, secret,
             [self.array_base + LINE * v for v in range(NUM_VALUES)],
-            config, seed, sanitize,
+            config, sanitize,
         )
         return latencies, hits[0] if len(hits) == 1 else None
 
@@ -121,14 +121,14 @@ def specflow_program(variant):
     )
 
 
-def run_exception_attack(config, variant="meltdown", secret=199, seed=0,
+def run_exception_attack(config, variant="meltdown", secret=199,
                          sanitize=None):
     """Run one Table I exception attack; returns (latencies, recovered)."""
     if variant not in VARIANTS:
         raise ValueError(
             f"unknown variant {variant!r}; choose from {sorted(VARIANTS)}"
         )
-    return _GADGETS[variant].run(config, secret, seed, sanitize)
+    return _GADGETS[variant].run(config, secret, sanitize)
 
 
 POCS = tuple(

@@ -42,9 +42,9 @@ def specflow_program():
     )
 
 
-def run_meltdown_style_attack(config, secret=199, seed=0, sanitize=None):
+def run_meltdown_style_attack(config, secret=199, sanitize=None):
     """Run the attack; returns ``(latencies, recovered_value)``."""
-    return _GADGET.run(config, secret, seed, sanitize)
+    return _GADGET.run(config, secret, sanitize)
 
 
 POC = PoC("meltdown_style", 199, run_meltdown_style_attack, specflow_program)

@@ -119,7 +119,7 @@ def specflow_program():
     )
 
 
-def run_spectre_v1(config, secret=84, trials=3, seed=0, sanitize=None):
+def run_spectre_v1(config, secret=84, trials=3, sanitize=None):
     """Run the full PoC; returns ``(median_latencies, recovered_secret)``.
 
     ``median_latencies[v]`` is the median reload latency of B's line *v*
@@ -127,7 +127,7 @@ def run_spectre_v1(config, secret=84, trials=3, seed=0, sanitize=None):
     the uniquely-fast line, else the fastest hit, else None.
     """
     all_latencies = []
-    with AttackContext(config, seed=seed, sanitize=sanitize) as context:
+    with AttackContext(config, sanitize=sanitize) as context:
         receiver = FlushReloadReceiver(
             context, 0, [ADDR_B + LINE * v for v in range(NUM_VALUES)]
         )

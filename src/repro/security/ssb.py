@@ -83,11 +83,11 @@ def specflow_program():
     )
 
 
-def run_ssb_attack(config, secret=113, seed=0, sanitize=None):
+def run_ssb_attack(config, secret=113, sanitize=None):
     """Run the SSB attack; returns ``(latencies, recovered_value)``."""
     latencies, hits = run_flush_reload(
         prepare, secret, [ADDR_B + LINE * v for v in range(NUM_VALUES)],
-        config, seed, sanitize,
+        config, sanitize,
     )
     # Architecturally the load re-executes after the alias squash and reads
     # the sanitized value 0, so B[0] is legitimately cached; the *leak* is

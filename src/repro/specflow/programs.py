@@ -137,9 +137,7 @@ def _replay_setup(context, prog, secret, phase_cycles):
         for i, addr in enumerate(setup["warm"])
     ]
     if warm_ops:
-        context.run_ops(
-            0, warm_ops, max_cycles=context.kernel.cycle + phase_cycles
-        )
+        context.run_ops(0, warm_ops, max_cycles=phase_cycles)
     for addr in setup["flush"]:
         context.flush(addr)
     return ops, wrong_paths
@@ -176,9 +174,7 @@ def _fingerprint(prog, secret, watchdog, heartbeat, phase_cycles):
             core.attach_load_issue_probe(
                 probe, future_judge.reads | spectre_judge.reads
             )
-        context.run_ops(
-            0, ops, wrong_paths, max_cycles=context.kernel.cycle + phase_cycles
-        )
+        context.run_ops(0, ops, wrong_paths, max_cycles=phase_cycles)
     # The kernel's clock stays readable after the release.
     return {"spectre": spectre, "futuristic": futuristic}, context.kernel.cycle
 

@@ -77,7 +77,6 @@ HOST_SCOPE = frozenset(
         "reliability",
         "service",
         "staticcheck",
-        "analysis.py",
         "runner.py",
         "__main__.py",
     }

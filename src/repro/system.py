@@ -97,7 +97,6 @@ class System:
         warmup_instructions=0,
         icache_miss_rate=0.0,
         memory_init=None,
-        seed=0,
         tracelog=None,
         faults=None,
         watchdog=None,
@@ -134,8 +133,7 @@ class System:
             for addr, value in memory_init.items():
                 self.image.write_bytes(addr, [value] if isinstance(value, int) else value)
         self.hierarchy = CacheHierarchy(
-            params, self.kernel, self.image, self.counters, seed=seed,
-            faults=faults,
+            params, self.kernel, self.image, self.counters, faults=faults
         )
         self.warmup_instructions = warmup_instructions
         self._warmup_pending = params.num_cores if warmup_instructions else 0

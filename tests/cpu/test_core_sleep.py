@@ -23,33 +23,30 @@ from repro.sim.kernel import SimKernel
 from ..golden.matrix import Cell, cell_id, run_cell
 
 _TSO, _RC = ConsistencyModel.TSO, ConsistencyModel.RC
-_TIMER_AND_L1I = (("interrupt_interval", 300), ("model_l1i", True))
 
 CELLS = tuple(
-    Cell("parsec", "canneal", scheme, _TSO, 2, _TIMER_AND_L1I)
+    Cell("parsec", "canneal", scheme, _TSO, 2, (("interrupt_interval", 300),))
     for scheme in ALL_SCHEMES
 ) + (
     Cell("parsec", "fluidanimate", Scheme.IS_SPECTRE, _RC, 2,
          (("interrupt_interval", 200),)),
-    Cell("parsec", "fluidanimate", Scheme.IS_FUTURE, _RC, 4,
-         (("model_l1i", True),)),
+    Cell("parsec", "fluidanimate", Scheme.IS_FUTURE, _RC, 4, ()),
 )
 
 
 def _idle_bumps(core):
-    """What the core's last (idle) tick bumped: counter deltas, L1-I stall."""
+    """What the core's last (idle) tick bumped: its counter deltas."""
     counters = {"core.cycles": 1}
     for name in (core._retire_stall, core._dispatch_stall):
         if name is not None:
             counters[name] = 1
-    return counters, int(core._fetch_stalled)
+    return counters
 
 
 def _shadow_tick(core, shadowed):
     """Tick a core the kernel is skipping; it must idle exactly as before."""
     expected = _idle_bumps(core)
     before = dict(core.counters.as_dict())
-    fetch_before = core.ifetch.stat_stall_cycles if core.ifetch else 0
     state = core.tick()
     where = f"{core.name} at cycle {core.kernel.cycle}"
     assert state == "idle", f"{where}: skipped tick would be {state!r}"
@@ -59,8 +56,7 @@ def _shadow_tick(core, shadowed):
         for name, value in after.items()
         if value != before.get(name, 0)
     }
-    fetch_after = core.ifetch.stat_stall_cycles if core.ifetch else 0
-    assert (bumped, fetch_after - fetch_before) == expected, where
+    assert bumped == expected, where
     shadowed.append(core.core_id)
 
 
@@ -134,8 +130,7 @@ class _CoRunnerContext(channel.AttackContext):
 
     ALU_OPS, LOADS = 32, 4
 
-    def __init__(self, config, params=None, num_cores=1, seed=0,
-                 sanitize=None):
+    def __init__(self, config, params=None, num_cores=1, sanitize=None):
         if params is None:
             params = (
                 SystemParams.for_spec() if num_cores == 1
@@ -145,7 +140,7 @@ class _CoRunnerContext(channel.AttackContext):
         self._pc = 0x4_0000
         super().__init__(
             config, params=params.replace(num_cores=params.num_cores + 1),
-            seed=seed, sanitize=sanitize,
+            sanitize=sanitize,
         )
 
     def _next_op(self, kind, **fields):

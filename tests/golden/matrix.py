@@ -2,15 +2,14 @@
 
 Each cell is one ``run_spec``/``run_parsec`` call.  Its snapshot holds the
 final counters, the warmup snapshot the measured region is taken against
-(cycle, counters, NoC traffic) and, per core, the cycle count, retired
-instructions and L1-I fetch-stall cycles.  A hot-path rewrite or refactor
+(cycle, counters, NoC traffic) and, per core, the cycle count and retired
+instructions.  A hot-path rewrite or refactor
 must leave every snapshot bit-identical; ``tests/test_golden_counters.py``
 checks that against ``sim_counters.json``, which ``regen.py`` rewrites.
 
 The matrix spans the schemes and consistency models on one core, PARSEC
-contention on two and four cores, and the time-driven paths no benchmark
-exercises: timer interrupts (``interrupt_interval``) and a real L1-I
-(``model_l1i``).
+contention on two and four cores, and the time-driven path no benchmark
+exercises: timer interrupts (``interrupt_interval``).
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ CELLS = tuple(
 ) + (
     Cell("parsec", "canneal", Scheme.IS_FUTURE, _TSO, 4,
          (("interrupt_interval", 300),)),
-    Cell("parsec", "fluidanimate", Scheme.IS_FUTURE, _RC, 2,
-         (("model_l1i", True),)),
 )
 
 
@@ -95,13 +92,7 @@ def run_cell(cell):
             "traffic": dict(sorted(warmup["traffic"].items())),
         },
         "cores": [
-            {
-                "cycles": core.cycles,
-                "retired": core.retired_instructions,
-                "l1i_stall_cycles": (
-                    core.ifetch.stat_stall_cycles if core.ifetch else None
-                ),
-            }
+            {"cycles": core.cycles, "retired": core.retired_instructions}
             for core in result.cores
         ],
     }

@@ -6,15 +6,11 @@ import pytest
 from repro.coherence.mesi import MESIState
 from repro.errors import SimulationError
 from repro.mem.cache import CacheArray
-from repro.mem.replacement import RandomPolicy
 from repro.params import CacheParams
 
 
-def small_cache(ways=2, sets=4, replacement="lru"):
-    params = CacheParams(
-        size_bytes=64 * ways * sets, line_bytes=64, ways=ways,
-        replacement=replacement,
-    )
+def small_cache(ways=2, sets=4):
+    params = CacheParams(size_bytes=64 * ways * sets, line_bytes=64, ways=ways)
     return CacheArray(params, MESIState.INVALID)
 
 
@@ -119,18 +115,7 @@ class TestCacheArray:
 
     def test_sets_built_on_first_use_start_like_eager_sets(self):
         # A set's replacement state is created when the set is first used;
-        # it must start exactly where an eagerly built set would: the
-        # random policy seeded with seed + set index, the LRU order fresh.
-        params = CacheParams(
-            size_bytes=64 * 4 * 8, line_bytes=64, ways=4, replacement="random"
-        )
-        cache = CacheArray(params, MESIState.INVALID, seed=11)
-        evicted_ways = []
-        for tag in range(12):
-            _, victim = cache.insert(addr_for_set(cache, 5, tag), MESIState.SHARED)
-            if victim is not None:
-                evicted_ways.append(victim.way)
-        eager = RandomPolicy(4, seed=11 + 5)
-        assert evicted_ways == [eager.victim() for _ in range(8)]
+        # it must start exactly where an eagerly built set would, with a
+        # fresh LRU order.
         lru = small_cache(ways=4)
         assert lru.set_digest(addr_for_set(lru, 3, 0)) == ((), (0, 1, 2, 3))

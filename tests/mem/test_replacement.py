@@ -1,15 +1,8 @@
 """Replacement policy tests."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigError
-from repro.mem.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_replacement_policy,
-)
+from repro.mem.replacement import LRUPolicy
 
 
 class TestLRU:
@@ -34,58 +27,3 @@ class TestLRU:
         for way in touches:
             lru.touch(way)
         assert lru.victim() != touches[-1]
-
-
-class TestRandom:
-    def test_victim_in_range(self):
-        policy = RandomPolicy(8, seed=3)
-        for _ in range(100):
-            assert 0 <= policy.victim() < 8
-
-    def test_deterministic_for_seed(self):
-        a = RandomPolicy(8, seed=5)
-        b = RandomPolicy(8, seed=5)
-        assert [a.victim() for _ in range(20)] == [b.victim() for _ in range(20)]
-
-
-class TestTreePLRU:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigError):
-            TreePLRUPolicy(6)
-
-    def test_victim_in_range(self):
-        plru = TreePLRUPolicy(8)
-        assert 0 <= plru.victim() < 8
-
-    def test_touched_way_not_immediate_victim(self):
-        plru = TreePLRUPolicy(8)
-        for way in range(8):
-            plru.touch(way)
-            assert plru.victim() != way
-
-    def test_reset_points_tree_at_way(self):
-        plru = TreePLRUPolicy(8)
-        for way in range(8):
-            plru.touch(way)
-        plru.reset(5)
-        assert plru.victim() == 5
-
-    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=32))
-    def test_plru_never_victimizes_last_touch(self, touches):
-        plru = TreePLRUPolicy(4)
-        for way in touches:
-            plru.touch(way)
-        assert plru.victim() != touches[-1]
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [("lru", LRUPolicy), ("random", RandomPolicy), ("plru", TreePLRUPolicy)],
-    )
-    def test_factory_builds_each(self, name, cls):
-        assert isinstance(make_replacement_policy(name, 8), cls)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            make_replacement_policy("fifo", 8)

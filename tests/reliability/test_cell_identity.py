@@ -60,15 +60,12 @@ class TestCellId:
         {"config": ProcessorConfig(
             scheme=Scheme.IS_SPECTRE, early_squash=False)},
         {"config": ProcessorConfig(
-            scheme=Scheme.IS_SPECTRE, base_squash_on_l1_eviction=False)},
-        {"config": ProcessorConfig(
             scheme=Scheme.IS_SPECTRE, protected_pcs={0x40})},
         {"params": SystemParams.for_spec()},
         {"params": SystemParams.for_spec(dram_latency=200)},
     ], ids=[
         "sanitize", "no-llc-sb", "no-val-to-exp", "no-early-squash",
-        "no-base-eviction-squash", "protected-pcs", "params",
-        "params-dram-200",
+        "protected-pcs", "params", "params-dram-200",
     ])
     def test_every_other_input_adds_a_digest(self, override):
         plain = _id(instructions=600)

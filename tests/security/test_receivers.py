@@ -1,6 +1,7 @@
 """Cache-timing receiver primitives."""
 
 from repro import ProcessorConfig, Scheme
+from repro.cpu.isa import MicroOp, OpKind
 from repro.security.channel import AttackContext
 from repro.security.flush_reload import FlushReloadReceiver
 from repro.security.prime_probe import PrimeProbeReceiver
@@ -25,6 +26,19 @@ class TestProbePrimitive:
         context.probe_latency(0, 0x8000)
         context.flush(0x8000)
         assert context.probe_latency(0, 0x8000) >= 100
+
+
+class TestRunOps:
+    def test_cycle_budget_is_per_phase(self):
+        # A phase's budget counts from its own start, so a context whose
+        # clock has passed the default budget still runs a default phase.
+        with make_context() as context:
+            context.run_ops(
+                0, [MicroOp(OpKind.ALU, pc=0x100, latency=2_000_500)],
+                max_cycles=10_000_000,
+            )
+            assert context.kernel.cycle > 2_000_000
+            context.run_ops(0, [MicroOp(OpKind.LOAD, pc=0x104, addr=0x8000)])
 
 
 class TestFlushReload:

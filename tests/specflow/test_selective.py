@@ -18,6 +18,7 @@ from repro.configs import ProcessorConfig, Scheme
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.selective import compute_protected_pcs
 from repro.runner import run_spec
+from repro.security import POCS
 
 
 @pytest.fixture(scope="module")
@@ -31,54 +32,23 @@ def test_protected_set_is_the_attack_transmitters(protected):
 
 
 class TestSecurity:
-    def _config(self, protected):
-        return ProcessorConfig(scheme=Scheme.SELECTIVE,
-                               protected_pcs=protected)
-
-    def test_spectre_v1_defeated(self, protected):
-        from repro.security.spectre_v1 import run_spectre_v1
-
-        _, recovered = run_spectre_v1(self._config(protected), secret=84)
+    @pytest.mark.parametrize("poc", POCS, ids=lambda poc: poc.name)
+    def test_poc_defeated(self, protected, poc):
+        config = ProcessorConfig(scheme=Scheme.SELECTIVE,
+                                 protected_pcs=protected)
+        _, recovered = poc.run(config, secret=poc.secret)
         assert recovered is None
 
-    def test_ssb_defeated_unlike_is_spectre(self, protected):
+    def test_ssb_leaks_under_is_spectre(self):
+        # IS-Spectre does NOT block SSB; the analysis-guided scheme must
+        # (test_poc_defeated), because it flags the transmitter under the
+        # futuristic model
         from repro.security.ssb import run_ssb_attack
 
-        # IS-Spectre does NOT block SSB; the analysis-guided scheme must,
-        # because it flags the transmitter under the futuristic model
         _, leaked = run_ssb_attack(
             ProcessorConfig(scheme=Scheme.IS_SPECTRE), secret=113
         )
         assert leaked == 113
-        _, recovered = run_ssb_attack(self._config(protected), secret=113)
-        assert recovered is None
-
-    def test_meltdown_style_defeated(self, protected):
-        from repro.security.meltdown_style import run_meltdown_style_attack
-
-        _, recovered = run_meltdown_style_attack(
-            self._config(protected), secret=199
-        )
-        assert recovered is None
-
-    def test_cross_core_defeated(self, protected):
-        from repro.security.cross_core import run_cross_core_attack
-
-        _, recovered = run_cross_core_attack(
-            self._config(protected), secret=37
-        )
-        assert recovered is None
-
-    @pytest.mark.parametrize(
-        "variant", ["meltdown", "l1tf", "lazy_fp", "rogue_sysreg"]
-    )
-    def test_exception_family_defeated(self, protected, variant):
-        from repro.security.exception_attacks import run_exception_attack
-
-        _, recovered = run_exception_attack(
-            self._config(protected), variant=variant, secret=177
-        )
-        assert recovered is None
 
 
 class TestPerformance:

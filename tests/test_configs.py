@@ -33,7 +33,6 @@ class TestProcessorConfig:
         assert config.llc_sb_enabled
         assert config.val_to_exp_optimization
         assert config.early_squash
-        assert config.base_squash_on_l1_eviction
 
     def test_name_combines_scheme_and_consistency(self):
         config = ProcessorConfig(

@@ -38,10 +38,6 @@ class TestCacheParams:
         with pytest.raises(ConfigError):
             CacheParams(size_bytes=1000, line_bytes=64, ways=8)
 
-    def test_rejects_unknown_replacement(self):
-        with pytest.raises(ConfigError):
-            CacheParams(size_bytes=1024, ways=2, replacement="belady")
-
 
 class TestCoreParams:
     def test_defaults_match_table_iv(self):
