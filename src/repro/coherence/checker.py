@@ -1,75 +1,24 @@
 """Coherence invariant checking.
 
 The classic single-writer/multiple-reader (SWMR) invariant plus
-directory/L1 agreement and inclusion, checkable at any quiesced point of a
-simulation.  The litmus tests call this after every run; it is also handy
-in notebooks when extending the protocol.
+directory/L1 agreement and inclusion, stated once, per line, by
+:func:`line_coherence_problems`.  :func:`check_all` runs it over every
+L1-resident line; the litmus tests call it after every run, and it is also
+handy in notebooks when extending the protocol.
 
 Because invalidations and fills travel with latency, the whole-hierarchy
-checkers are meaningful when the machine is quiet (no events in flight);
+check is meaningful when the machine is quiet (no events in flight);
 mid-flight checks may report transient disagreement that is not a bug.
-The line-scoped :func:`line_coherence_problems` exists for exactly that
-case: the runtime sanitizer (:mod:`repro.sanitizer`) calls it on every
-state transition with a ``skip_cores`` set naming the cores with an
-invalidation in flight for the line, so transient windows do not produce
-false positives.
+The line-scoped check takes a ``skip_cores`` set for exactly that case:
+the runtime sanitizer (:mod:`repro.sanitizer`) calls it on every state
+transition naming the cores with an invalidation in flight for the line,
+so transient windows do not produce false positives.
 """
 
 from __future__ import annotations
 
 from ..errors import ProtocolError
 from .mesi import MESIState
-
-
-def check_swmr(hierarchy):
-    """Single writer or many readers, never both, for every line."""
-    holders = {}  # line -> [(core, state)]
-    for core_id, l1 in enumerate(hierarchy.l1s):
-        for line in l1.resident_lines():
-            entry = l1.lookup(line, touch=False)
-            holders.setdefault(line, []).append((core_id, entry.state))
-    for line, entries in holders.items():
-        writers = [c for c, s in entries if s.writable]
-        readers = [c for c, s in entries if s is MESIState.SHARED]
-        if writers and (len(writers) > 1 or readers):
-            raise ProtocolError(
-                f"SWMR violated for 0x{line:x}: writers={writers}, "
-                f"readers={readers}"
-            )
-    return True
-
-
-def check_directory_agreement(hierarchy):
-    """Every cached L1 line is tracked by its home directory."""
-    for core_id, l1 in enumerate(hierarchy.l1s):
-        for line in l1.resident_lines():
-            bank = hierarchy.bank_of(line)
-            entry = hierarchy.dirs[bank].entry(line)
-            if entry is None:
-                raise ProtocolError(
-                    f"core {core_id} holds 0x{line:x} but the directory "
-                    f"has no entry"
-                )
-            tracked = entry.owner == core_id or core_id in entry.sharers
-            if not tracked:
-                raise ProtocolError(
-                    f"core {core_id} holds 0x{line:x} untracked "
-                    f"(owner={entry.owner}, sharers={sorted(entry.sharers)})"
-                )
-    return True
-
-
-def check_inclusion(hierarchy):
-    """Inclusive-hierarchy invariant: every L1-resident line is in L2."""
-    for core_id, l1 in enumerate(hierarchy.l1s):
-        for line in l1.resident_lines():
-            bank = hierarchy.bank_of(line)
-            if not hierarchy.l2[bank].contains(line):
-                raise ProtocolError(
-                    f"inclusion violated: core {core_id} holds 0x{line:x} "
-                    f"absent from L2 bank {bank}"
-                )
-    return True
 
 
 def line_coherence_problems(hierarchy, line, skip_cores=frozenset()):
@@ -128,8 +77,15 @@ def line_coherence_problems(hierarchy, line, skip_cores=frozenset()):
 
 
 def check_all(hierarchy):
-    """Every invariant: SWMR, directory agreement, inclusion."""
-    check_swmr(hierarchy)
-    check_directory_agreement(hierarchy)
-    check_inclusion(hierarchy)
+    """Every invariant over every L1-resident line (only a line some L1
+    holds can break one); raises the first problem as a
+    :class:`ProtocolError` that names its kind."""
+    lines = dict.fromkeys(
+        line for l1 in hierarchy.l1s for line in l1.resident_lines()
+    )
+    for line in lines:
+        problems = line_coherence_problems(hierarchy, line)
+        if problems:
+            kind, message, _core = problems[0]
+            raise ProtocolError(f"{kind} at 0x{line:x}: {message}")
     return True

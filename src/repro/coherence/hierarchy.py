@@ -133,14 +133,8 @@ class CacheHierarchy:
         self.noc = NoC(params.network, faults=faults)
         self.dram = DRAMModel(latency=params.dram_latency, faults=faults)
         self.num_banks = params.num_l2_banks
-        self.l1s = [
-            CacheArray(params.l1d, MESIState.INVALID)
-            for _ in range(params.num_cores)
-        ]
-        self.l2 = [
-            CacheArray(params.l2_bank, MESIState.INVALID)
-            for _ in range(self.num_banks)
-        ]
+        self.l1s = [CacheArray(params.l1d) for _ in range(params.num_cores)]
+        self.l2 = [CacheArray(params.l2_bank) for _ in range(self.num_banks)]
         self.dirs = [Directory(b) for b in range(self.num_banks)]
         self.mshrs = [
             MSHRFile(params.core.mshr_entries) for _ in range(params.num_cores)
@@ -246,8 +240,7 @@ class CacheHierarchy:
             req.accounted = True
             self._counts[info.requests] += 1
 
-        l1 = self.l1s[core_id]
-        entry = l1.lookup(line, touch=not kind.invisible)
+        entry = self.l1s[core_id].lookup(line, touch=not kind.invisible)
         l1_state = entry.state if entry is not None else _INVALID
         # Only the L1-local routing outcomes are decided here; the remote
         # facts (owner, L2 residency, write-back windows) are resolved at
@@ -261,7 +254,6 @@ class CacheHierarchy:
                 self._note_line(line, "store_l1_hit", core_id=core_id)
                 self._finish_store(req, ready, "l1", info.category)
                 return
-            l1.stat_hits += 1
             self._counts[info.l1_hits] += 1
             self.kernel.schedule_at(
                 ready, lambda: self._do_complete_read(req, "l1")
@@ -287,8 +279,6 @@ class CacheHierarchy:
                 counts[_KIND_INFO[req.kind.index].l1_misses_secondary] += 1
             return
         if first_attempt:
-            if req.kind is not _STORE:
-                self.l1s[req.core_id].stat_misses += 1
             self._counts[_KIND_INFO[req.kind.index].l1_misses] += 1
         if existing is not None:
             # Program-order or kind-class conflict: issue an independent
@@ -429,7 +419,6 @@ class CacheHierarchy:
         bank_node = self._bank_nodes[bank]
         core_node = self._core_nodes[req.core_id]
         self.l2[bank].lookup(line, touch=not kind.invisible)
-        self.l2[bank].stat_hits += 1
         self._counts[_KIND_INFO[kind.index].l2_hits] += 1
         data_lat = self.noc.send(bank_node, core_node, True, cat)
         ready = t_bank + self.params.l2_bank.round_trip_latency + data_lat
@@ -457,7 +446,6 @@ class CacheHierarchy:
         kind = req.kind
         bank_node = self._bank_nodes[bank]
         core_node = self._core_nodes[req.core_id]
-        self.l2[bank].stat_misses += 1
         self._counts[_KIND_INFO[kind.index].l2_misses] += 1
 
         # Validation/exposure first checks the requester's LLC-SB.
@@ -810,9 +798,3 @@ class CacheHierarchy:
     def l1_state(self, core_id, addr):
         entry = self.l1s[core_id].lookup(self.space.line_of(addr), touch=False)
         return entry.state if entry is not None else MESIState.INVALID
-
-    def check_inclusion(self):
-        """Inclusive-hierarchy invariant: every L1 line is tracked in L2."""
-        from .checker import check_inclusion
-
-        return check_inclusion(self)

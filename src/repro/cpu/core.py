@@ -777,7 +777,6 @@ class Core:
                 # Section V-E: copy the line the older USL already brought.
                 mask = self.space.byte_mask(addr, size)
                 dst = self.sb.copy(older.index, lq_entry.index, mask)
-                self.sb.stat_hits += 1
                 self._counts["invisispec.sb_hits"] += 1
                 offset = self.space.offset_in_line(addr)
                 self._finish_usl_data(

@@ -21,7 +21,6 @@ class InterruptUnit:
         self.disabled = False
         self.pending = False
         self._enabled_since = 0
-        self.stat_fired = 0
         self.stat_delayed = 0
 
     def should_fire(self, now):
@@ -34,7 +33,6 @@ class InterruptUnit:
                     self.pending = True
                     self.stat_delayed += 1
                 return False
-            self.stat_fired += 1
             self.pending = False
             while self.next_at <= now:
                 self.next_at += self.interval

@@ -68,8 +68,6 @@ class SpeculativeBuffer:
         self.line_bytes = line_bytes
         self._slots = [SBEntry() for _ in range(capacity)]
         self.stat_fills = 0
-        self.stat_copies = 0
-        self.stat_hits = 0
 
     def entry(self, lq_index):
         return self._slots[lq_index % self.capacity]
@@ -145,7 +143,6 @@ class SpeculativeBuffer:
         dst.version = src.version
         dst.address_mask = address_mask
         dst.fill_pending = False
-        self.stat_copies += 1
         return dst
 
     def invalidate(self, lq_index):

@@ -22,7 +22,6 @@ class DRAMModel:
         self.stat_queue_cycles = 0
         #: Optional FaultInjector; consulted per access for ``dram.stall``.
         self.faults = faults
-        self.stat_stalled = 0
 
     def access(self, now, line_addr=0):
         """Issue a request at cycle ``now``; returns the data-ready cycle."""
@@ -35,7 +34,6 @@ class DRAMModel:
         if self.faults is not None:
             action = self.faults.fire("dram.stall")
             if action is not None:
-                self.stat_stalled += 1
                 ready += action.extra
         return ready
 

@@ -29,8 +29,6 @@ class MemoryImage:
         self._offset_mask = address_space.line_bytes - 1
         self._lines = {}  # line_addr -> bytearray(line_bytes)
         self._versions = {}  # line_addr -> int
-        self.stat_reads = 0
-        self.stat_writes = 0
 
     def _get(self, addr, size):
         """``size`` bytes from ``addr``, a fresh copy (may straddle lines)."""
@@ -69,7 +67,6 @@ class MemoryImage:
 
     def read(self, addr, size):
         """Read ``size`` bytes little-endian as an unsigned integer."""
-        self.stat_reads += 1
         return int.from_bytes(self._get(addr, size), "little")
 
     def read_bytes(self, addr, size):
@@ -80,7 +77,6 @@ class MemoryImage:
         """Write ``size`` bytes little-endian; bumps the line version(s)."""
         if value < 0:
             raise SimulationError(f"negative store value {value}")
-        self.stat_writes += 1
         if size > 0:
             self._put(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(
                 size, "little"
@@ -91,7 +87,6 @@ class MemoryImage:
         """Write a sequence of byte values starting at ``addr``."""
         self._put(addr, bytes(byte & 0xFF for byte in data))
         self._bump_versions(addr, max(len(data), 1))
-        self.stat_writes += 1
 
     def line_version(self, line_addr):
         return self._versions.get(line_addr, 0)

@@ -36,7 +36,6 @@ class MSHRFile:
     def __init__(self, num_entries):
         self.num_entries = num_entries
         self._entries = {}  # line_addr -> MSHREntry
-        self.stat_allocations = 0
         self.stat_merges = 0
         self.stat_full_stalls = 0
 
@@ -58,7 +57,6 @@ class MSHRFile:
             raise SimulationError(f"MSHR for 0x{line_addr:x} already allocated")
         entry = MSHREntry(line_addr, allocator_seq, speculative, cycle)
         self._entries[line_addr] = entry
-        self.stat_allocations += 1
         return entry
 
     def merge(self, line_addr, target):

@@ -28,12 +28,9 @@ class StridePrefetcher:
         self.threshold = threshold
         self.line_bytes = line_bytes
         self._table = {}  # pc -> StrideEntry
-        self.stat_trained = 0
-        self.stat_issued = 0
 
     def train(self, pc, addr):
         """Observe a demand access; returns a list of prefetch addresses."""
-        self.stat_trained += 1
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.table_entries:
@@ -51,6 +48,5 @@ class StridePrefetcher:
             prefetches = [
                 addr + entry.stride * (i + 1) for i in range(self.degree)
             ]
-            self.stat_issued += len(prefetches)
             return [a for a in prefetches if a >= 0]
         return []

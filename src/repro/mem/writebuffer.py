@@ -34,8 +34,6 @@ class WriteBuffer:
         self.max_inflight = max_inflight or (1 if fifo else num_entries)
         self._entries = deque()
         self._inflight = 0  # entries marked in flight and not yet retired
-        self.stat_enqueued = 0
-        self.stat_drained = 0
 
     def __len__(self):
         return len(self._entries)
@@ -53,7 +51,6 @@ class WriteBuffer:
             raise SimulationError("write buffer overflow; caller must check full")
         entry = WriteBufferEntry(addr, size, value, seq, is_release)
         self._entries.append(entry)
-        self.stat_enqueued += 1
         return entry
 
     def drain_candidates(self):
@@ -108,7 +105,6 @@ class WriteBuffer:
             raise SimulationError("retiring store not present in write buffer")
         if entry.inflight:
             self._inflight -= 1
-        self.stat_drained += 1
 
     def pending_store_to(self, addr, size, space):
         """Youngest buffered store overlapping [addr, addr+size), if any.

@@ -59,7 +59,6 @@ class NoC:
         #: Optional FaultInjector; consulted per message for the
         #: ``noc.drop`` and ``noc.delay`` sites.
         self.faults = faults
-        self.stat_dropped = 0
         self.stat_delayed = 0
 
     def delay(self, src_node, dst_node):
@@ -82,7 +81,6 @@ class NoC:
             # sane cycle budget, so the dependent transaction stalls until
             # the watchdog raises SimTimeoutError.
             if self.faults.fire("noc.drop") is not None:
-                self.stat_dropped += 1
                 return DROPPED_MESSAGE_DELAY
             action = self.faults.fire("noc.delay")
             if action is not None:

@@ -85,7 +85,6 @@ class CoreParams:
     btb_entries: int = 4096
     ras_entries: int = 16
     branch_resolve_latency: int = 2
-    int_alu_latency: int = 1
     fp_alu_latency: int = 3
     mshr_entries: int = 16
     write_buffer_entries: int = 16
@@ -104,7 +103,6 @@ class CoreParams:
             "btb_entries",
             "ras_entries",
             "branch_resolve_latency",
-            "int_alu_latency",
             "fp_alu_latency",
             "mshr_entries",
             "write_buffer_entries",

@@ -46,8 +46,8 @@ from __future__ import annotations
 import itertools
 import re
 
+from ..coherence.checker import line_coherence_problems
 from ..coherence.hierarchy import CacheHierarchy, MemRequest, RequestKind
-from ..coherence.mesi import MESIState
 from ..invisispec.llc_sb import LLCSpeculativeBuffer
 from ..mem.address import AddressSpace
 from ..mem.memimage import MemoryImage
@@ -288,40 +288,16 @@ class TraceReplayer:
     def finish(self):
         """Drain the kernel, then check end-state coherence invariants."""
         self.kernel.run(max_cycles=self.kernel.cycle + self.MAX_CYCLES_PER_STEP)
-        self.hierarchy.check_inclusion()
         for line_index in range(self.num_lines):
             addr = self.line_addr(line_index)
-            line = self.space.line_of(addr)
-            states = {
-                c: self.hierarchy.l1_state(c, addr)
-                for c in range(self.num_cores)
-            }
-            readable = {
-                c for c, s in states.items() if s is not MESIState.INVALID
-            }
-            writable = {
-                c
-                for c, s in states.items()
-                if s in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
-            }
-            if writable and len(readable) > 1:
+            problems = line_coherence_problems(
+                self.hierarchy, self.space.line_of(addr)
+            )
+            if problems:
+                kind, message, _core = problems[0]
                 raise ReplayError(
-                    f"SWMR broken at quiescence on line {line_index}: "
-                    f"{states}"
-                )
-            bank = self.hierarchy.bank_of(line)
-            dentry = self.hierarchy.dirs[bank].entry(line)
-            tracked = set()
-            if dentry is not None:
-                tracked = set(dentry.sharers)
-                if dentry.owner is not None:
-                    tracked.add(dentry.owner)
-            untracked = readable - tracked
-            if untracked:
-                raise ReplayError(
-                    f"directory agreement broken on line {line_index}: "
-                    f"cores {sorted(untracked)} hold copies the directory "
-                    "does not track"
+                    f"{kind} broken at quiescence on line {line_index}: "
+                    f"{message}"
                 )
             if line_index in self._last_store:
                 got = self.image.read(addr, 8)

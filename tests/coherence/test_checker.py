@@ -16,13 +16,7 @@ from repro import (
     Scheme,
     SystemParams,
 )
-from repro.coherence.checker import (
-    check_all,
-    check_directory_agreement,
-    check_inclusion,
-    check_swmr,
-    line_coherence_problems,
-)
+from repro.coherence.checker import check_all, line_coherence_problems
 from repro.coherence.mesi import MESIState
 from repro.cpu.isa import MicroOp, OpKind
 from repro.cpu.trace import ProgramTrace
@@ -77,16 +71,16 @@ class TestViolationsDetected:
                 l1.insert(line, MESIState.MODIFIED)
             else:
                 l1.lookup(line, touch=False).state = MESIState.MODIFIED
-        with pytest.raises(ProtocolError):
-            check_swmr(hierarchy)
+        with pytest.raises(ProtocolError, match="swmr"):
+            check_all(hierarchy)
 
     def test_directory_agreement_detects_untracked_line(self):
         system = racing_system()
         hierarchy = system.hierarchy
         rogue_line = 0x7777_0000
         hierarchy.l1s[0].insert(rogue_line, MESIState.SHARED)
-        with pytest.raises(ProtocolError):
-            check_directory_agreement(hierarchy)
+        with pytest.raises(ProtocolError, match="directory"):
+            check_all(hierarchy)
 
     def test_inclusion_detects_l1_line_missing_from_l2(self):
         system = racing_system()
@@ -98,7 +92,7 @@ class TestViolationsDetected:
         bank = hierarchy.bank_of(line)
         hierarchy.l2[bank].invalidate(line)
         with pytest.raises(ProtocolError, match="inclusion"):
-            check_inclusion(hierarchy)
+            check_all(hierarchy)
         assert holder.contains(line)  # the L1 copy is what makes it a bug
 
     def test_line_problems_reports_kind_and_core(self):

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from repro.coherence.checker import check_all
 from repro.coherence.hierarchy import CacheHierarchy, MemRequest, RequestKind
 from repro.coherence.mesi import MESIState
 from repro.invisispec.llc_sb import LLCSpeculativeBuffer
@@ -95,7 +96,7 @@ class TestLoadPaths:
         rig.request(0, LINE_A, RequestKind.LOAD)
         bank = rig.hierarchy.bank_of(rig.space.line_of(LINE_A))
         assert rig.hierarchy.l2[bank].contains(rig.space.line_of(LINE_A))
-        rig.hierarchy.check_inclusion()
+        check_all(rig.hierarchy)
 
     def test_other_core_load_stays_on_chip(self):
         # Core 0 holds the sole copy in E (it is the tracked owner), so
@@ -215,7 +216,7 @@ class TestValidationExposure:
         rig.request(0, LINE_A, RequestKind.VALIDATE, lq_index=3, epoch=1)
         line = rig.space.line_of(LINE_A)
         assert rig.hierarchy.l1s[0].contains(line)
-        rig.hierarchy.check_inclusion()
+        check_all(rig.hierarchy)
 
     def test_llc_sb_purged_after_use(self):
         rig = Rig(with_llc_sb=True)
@@ -276,4 +277,4 @@ class TestInclusion:
             addr = 0x10_0000 + 64 * (i * 7 % 23)
             kind = RequestKind.STORE if i % 3 == 0 else RequestKind.LOAD
             rig.request(core, addr, kind, value=i)
-        rig.hierarchy.check_inclusion()
+        check_all(rig.hierarchy)

@@ -2,6 +2,7 @@
 
 import itertools
 
+from repro.coherence.checker import check_all
 from repro.coherence.hierarchy import MemRequest, RequestKind
 from repro.coherence.mesi import MESIState
 from repro.invisispec.llc_sb import LLCSpeculativeBuffer
@@ -182,4 +183,4 @@ class TestL2EvictionRecall:
             hierarchy.submit(req)
             kernel.run(max_cycles=kernel.cycle + 10_000)
         assert counters["coherence.l2_evictions"] > 0
-        hierarchy.check_inclusion()
+        check_all(hierarchy)

@@ -93,7 +93,7 @@ def test_fault_in_one_ablation_cell_renders_a_gap():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_cell_shared_by_two_sweep_points_fails_once(tmp_path, jobs):
     # ROB=192 and LQ=32 are both the default machine: one cell.
-    shared = "spec:hmmer:Base:TSO:s0:i300:d4ab28df49"
+    shared = "spec:hmmer:Base:TSO:s0:i300:3140311d9c"
     engine = RunEngine(
         journal=RunJournal(tmp_path / "j.json"),
         policy=RetryPolicy(max_attempts=1),

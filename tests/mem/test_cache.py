@@ -11,7 +11,7 @@ from repro.params import CacheParams
 
 def small_cache(ways=2, sets=4):
     params = CacheParams(size_bytes=64 * ways * sets, line_bytes=64, ways=ways)
-    return CacheArray(params, MESIState.INVALID)
+    return CacheArray(params)
 
 
 def addr_for_set(cache, set_idx, tag):
@@ -93,14 +93,15 @@ class TestCacheArray:
         cache.insert(0x2000, MESIState.SHARED)
         assert set(cache.resident_lines()) == {0x1000, 0x2000}
 
-    def test_stats_track_hits_misses(self):
+    def test_lookups_leave_residency_unchanged(self):
+        # Hit/miss counters are maintained by the hierarchy; the array's
+        # lookups leave residency and occupancy as they are.
         cache = small_cache()
-        cache.lookup(0x1000)
+        assert cache.lookup(0x1000) is None
         cache.insert(0x1000, MESIState.SHARED)
         cache.lookup(0x1000)
-        # The array itself only counts insert-time evictions; hit/miss
-        # counters are maintained by the hierarchy.
-        assert cache.stat_evictions == 0
+        assert cache.occupancy == 1
+        assert list(cache.resident_lines()) == [0x1000]
 
     def test_set_mapping_distributes_lines(self):
         cache = small_cache(ways=2, sets=4)
@@ -113,9 +114,15 @@ class TestCacheArray:
         assert cache.contains(0x40)
         assert not cache.contains(0x80)
 
-    def test_sets_built_on_first_use_start_like_eager_sets(self):
-        # A set's replacement state is created when the set is first used;
-        # it must start exactly where an eagerly built set would, with a
-        # fresh LRU order.
-        lru = small_cache(ways=4)
-        assert lru.set_digest(addr_for_set(lru, 3, 0)) == ((), (0, 1, 2, 3))
+    def test_set_digest_is_lines_and_states_in_recency_order(self):
+        cache = small_cache(ways=4)
+        a = addr_for_set(cache, 3, 0)
+        b = addr_for_set(cache, 3, 1)
+        assert cache.set_digest(a) == ()
+        cache.insert(a, MESIState.SHARED)
+        cache.insert(b, MESIState.MODIFIED)
+        assert cache.set_digest(a) == ((a, "SHARED"), (b, "MODIFIED"))
+        cache.lookup(a, touch=False)  # invisible: digest unchanged
+        assert cache.set_digest(a) == ((a, "SHARED"), (b, "MODIFIED"))
+        cache.lookup(a)
+        assert cache.set_digest(b) == ((b, "MODIFIED"), (a, "SHARED"))

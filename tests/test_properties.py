@@ -16,9 +16,9 @@ from repro.mem.cache import CacheArray
 from repro.params import CacheParams
 
 
-def small_cache():
+def small_cache(ways=2, sets=4):
     return CacheArray(
-        CacheParams(size_bytes=64 * 2 * 4, line_bytes=64, ways=2), MESIState.INVALID
+        CacheParams(size_bytes=64 * ways * sets, line_bytes=64, ways=ways)
     )
 
 
@@ -56,6 +56,60 @@ class TestCacheArrayProperties:
             if not cache.contains(line):
                 cache.insert(line, MESIState.EXCLUSIVE)
             assert cache.contains(line)  # at least right after touch
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "touch", "probe", "invalidate"]),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=20,
+            max_size=80,
+        )
+    )
+    def test_matches_reference_lru(self, operations):
+        # Differential check against a plain recency list per set (least
+        # recently used first): every eviction takes the same victim, never
+        # the set's most recently touched line, and residency and recency
+        # order agree after every step.
+        ways, sets = 3, 2
+        cache = small_cache(ways=ways, sets=sets)
+        order = [[] for _ in range(sets)]
+        for op, line_idx in operations:
+            line = line_idx * 64
+            recency = order[line_idx % sets]
+            if op == "insert":
+                if line in recency:
+                    continue
+                _entry, victim = cache.insert(line, MESIState.SHARED)
+                if len(recency) < ways:
+                    assert victim is None
+                else:
+                    assert victim.line_addr == recency[0]
+                    assert victim.line_addr != recency[-1]
+                    recency.pop(0)
+                recency.append(line)
+            elif op == "touch":
+                hit = cache.lookup(line) is not None
+                assert hit == (line in recency)
+                if hit:
+                    recency.remove(line)
+                    recency.append(line)
+            elif op == "probe":
+                assert (cache.lookup(line, touch=False) is not None) == (
+                    line in recency
+                )
+            else:
+                assert (cache.invalidate(line) is not None) == (line in recency)
+                if line in recency:
+                    recency.remove(line)
+            assert sorted(cache.resident_lines()) == sorted(
+                addr for lines in order for addr in lines
+            )
+            assert [addr for addr, _state in cache.set_digest(line)] == (
+                order[line_idx % sets]
+            )
 
 
 class TestQueueProperties:

@@ -11,6 +11,7 @@ from conftest import run_ops, simple_load_alu_ops
 
 from repro import ConfigError, ProcessorConfig, Scheme, SystemParams
 from repro.cpu.trace import ProgramTrace
+from repro.runner import run_spec
 from repro.system import System
 from repro.workloads import SPEC_PROFILES, SyntheticTrace
 
@@ -105,3 +106,36 @@ class TestWarmup:
         warm = self._run(warmup=1000)
         total = warm.counters.get("core.retired_instructions")
         assert warm.count("core.retired_instructions") == total - 1000
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: System._harvest_stats writes dram.accesses, "
+        "tlb.*, core.branch_predictor_*, core.total_retired, "
+        "invisispec.sb_fills / llc_sb_inserts and noc.* only at the end of "
+        "a run, so the warmup snapshot lacks them and count() returns "
+        "whole-run totals",
+    )
+    def test_harvested_counters_exclude_warmup(self, monkeypatch):
+        # Read the components' own tallies at the instant the warmup
+        # snapshot is taken; count() must report only what came after.
+        at_warmup = {}
+        warmed_up = System._core_warmed_up
+
+        def recording(system, core_id):
+            warmed_up(system, core_id)
+            if system._warmup_snapshot is not None:
+                at_warmup["dram"] = system.hierarchy.dram.stat_accesses
+                at_warmup["tlb"] = system.cores[0].tlb.stat_hits
+
+        monkeypatch.setattr(System, "_core_warmed_up", recording)
+        result = run_spec(
+            "libquantum", ProcessorConfig(scheme=Scheme.IS_FUTURE),
+            instructions=2000,
+        )
+        dram = result.hierarchy.dram.stat_accesses
+        tlb_hits = result.cores[0].tlb.stat_hits
+        assert 0 < at_warmup["dram"] < dram
+        assert 0 < at_warmup["tlb"] < tlb_hits
+        assert result.count("dram.accesses") == dram - at_warmup["dram"]
+        assert result.count("tlb.hits") == tlb_hits - at_warmup["tlb"]
