@@ -473,9 +473,7 @@ class CacheHierarchy:
         if kind.invisible:
             # No fills anywhere; deposit a copy in the requester's LLC-SB.
             if self.llc_sbs is not None and kind is _SPEC_LOAD:
-                self.llc_sbs[req.core_id].insert(
-                    req.lq_index, line, req.epoch, at_cycle=t_back
-                )
+                self.llc_sbs[req.core_id].insert(req.lq_index, line, req.epoch)
             self._complete_read(req, ready, "dram")
             return
 

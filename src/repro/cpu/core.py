@@ -10,13 +10,20 @@ Pipeline events per tick (one call per cycle, newest stage first):
 1. interrupt check
 2. retire up to ``issue_width`` from the ROB head
 3. drain the write buffer per the consistency model
-4. InvisiSpec visibility engine (validations/exposures, deferred TLB loads)
+4. the InvisiSpec load engine, when the scheme has one
+   (validations/exposures, deferred TLB walks)
 5. dispatch up to ``issue_width`` ops from the fetch queue
 6. refill the fetch queue (correct path or wrong path)
 
 Execution itself is event-driven: an op starts executing when its operands
 complete (wake-up lists), and finishes via a kernel event.  Memory
 operations go through :class:`repro.coherence.CacheHierarchy`.
+
+The core knows nothing of InvisiSpec's hardware: an IS scheme's policy
+builds its load engine (:mod:`repro.invisispec.valexp`), which the core
+calls as ``self.visibility`` at dispatch, an unsafe load's start and
+issue, the tick, retire, squash and invalidation.  Under Base and the
+fence schemes it is ``None`` and every load is safe.
 
 Sleep and wake
 --------------
@@ -28,20 +35,22 @@ that can change what a tick does from outside the core's own tick is a
 
 * ``_complete_entry``, which every op's completion reaches: the ALU and
   branch events (``_complete_alu``, ``_resolve_branch``) and a load's
-  data (``_on_load_data``) wake only through it;
+  data (``_on_load_data``, and the engine's SB fill ``_on_line``) wake
+  only through it;
 * ``_issue_load_to_memory``, whose TLB-walk event moves a load out of the
   unclassified vstate that stops the in-order visibility scan;
-* ``_on_store_performed``, the visibility engine's ``_on_complete``, the
-  hierarchy's ``on_invalidation``/``on_l1_eviction``, ``squash_load`` and
-  ``reopen``.
+* ``_on_store_performed``, the engine's validation/exposure completion
+  ``_on_complete``, the hierarchy's ``on_invalidation``/``on_l1_eviction``,
+  ``squash_load`` and ``reopen``.
 
-Two callbacks change nothing a tick reads, so they do not wake: data for
-a load a store forward already completed only fills its SB line (an SB
-waiter it serves completes, and wakes), and ``_issue_deferred`` only
-submits a load the waking tick of ``_tick_deferred_loads`` already moved
-to state N.  The only time-driven change, the timer interrupt, is the
-core's :attr:`Core.wake_cycle`: while one is due or pending the kernel
-ticks the core at every step, flag or not.
+Two of the engine's callbacks change nothing a tick reads, so they do
+not wake: ``_on_line`` for a load a store forward already completed only
+fills its SB line (an SB waiter it serves completes, and wakes), and
+``_issue_deferred`` only submits a load the waking tick of the engine's
+deferred-TLB stage already moved to state N.  The only time-driven
+change, the timer interrupt, is the core's :attr:`Core.wake_cycle`:
+while one is due or pending the kernel ticks the core at every step,
+flag or not.
 
 A tick's own changes are seen by the stages after it in the same tick
 (the order above), so a tick sets the flag only for a change that an
@@ -62,10 +71,7 @@ from ..coherence.hierarchy import MemRequest, RequestKind
 from ..consistency import make_consistency_policy
 from ..errors import SimulationError
 from ..invisispec.lifecycle import advance_vstate
-from ..invisispec.llc_sb import LLCSpeculativeBuffer
 from ..invisispec.policy import make_scheme_policy
-from ..invisispec.sb import SpeculativeBuffer
-from ..invisispec.valexp import VisibilityEngine
 from ..mem.prefetcher import StridePrefetcher
 from ..mem.tlb import DataTLB
 from ..mem.writebuffer import WriteBuffer
@@ -76,7 +82,6 @@ from .isa import MicroOp, OpKind
 from .lsq import (
     LoadQueue,
     STATE_COMPLETE,
-    STATE_DEFERRED,
     STATE_EXPOSURE,
     STATE_NORMAL,
     STATE_VALIDATION,
@@ -126,7 +131,6 @@ class Core:
         self.config = config
         self.kernel = kernel
         self.hierarchy = hierarchy
-        self.image = hierarchy.image
         self.space = hierarchy.space
         self.counters = counters
         self._counts = counters.counts
@@ -160,20 +164,6 @@ class Core:
             else None
         )
 
-        if self.policy.uses_invisispec:
-            self.sb = SpeculativeBuffer(
-                core_params.load_queue_entries, self.space.line_bytes
-            )
-            self.llc_sb = LLCSpeculativeBuffer(
-                core_params.load_queue_entries,
-                access_latency=params.l2_bank.round_trip_latency,
-            )
-            self.visibility = VisibilityEngine(self)
-        else:
-            self.sb = None
-            self.llc_sb = None
-            self.visibility = None
-
         node = core_id % params.network.num_nodes
         self.icache = ICacheTrafficModel(
             hierarchy.noc, node, node, icache_miss_rate
@@ -191,7 +181,6 @@ class Core:
         self._live_by_seq = {}
         self._waiters = {}  # seq -> [ROBEntry] wake-up lists
         self._fence_blocked = []
-        self._sb_waiters = {}  # lq virtual index -> [ROBEntry]
         self._interrupt_protect_seq = None
 
         # Only the trackers something reads are built and fed (an unread
@@ -205,19 +194,6 @@ class Core:
         # attach_load_issue_probe.  See :mod:`repro.cpu.tracking`.
         self._build_trackers(
             self.policy.reads | self.consistency.reads | _CORE_READS
-        )
-        # Loads whose TLB miss deferred them to their visibility point.  A
-        # retired entry no longer points at its (dead) LQ entry.  Only a
-        # USL defers, so only an InvisiSpec core (the one with a
-        # visibility engine) builds the tracker and ticks the stage.
-        self._deferred_tracker = (
-            LazyMinTracker(
-                lambda e: e.lq_entry is not None
-                and e.lq_entry.valid
-                and e.lq_entry.vstate == STATE_DEFERRED
-            )
-            if self.visibility is not None
-            else None
         )
 
         #: Set by every waking entry point; cleared at the start of a tick.
@@ -241,6 +217,9 @@ class Core:
         self.monitor = None
         #: Optional load-issue probe (:meth:`attach_load_issue_probe`).
         self.load_issue_probe = None
+        #: The InvisiSpec load engine (:mod:`repro.invisispec.valexp`) an
+        #: IS scheme's policy builds; ``None`` under Base and the fences.
+        self.visibility = self.policy.make_engine(self)
 
         hierarchy.attach_core(core_id, self)
 
@@ -363,10 +342,8 @@ class Core:
         work += self._retire(now)
         self._tick_fences(now)
         work += self._drain_write_buffer(now)
-        if self.visibility is not None:
-            if self.lq.live:
-                self.visibility.tick()
-            self._tick_deferred_loads(now)
+        if self.visibility is not None and self.lq.live:
+            self.visibility.tick()
         work += self._dispatch(now)
         work += self._fill_fetch_queue()
         self._counts["core.cycles"] += 1
@@ -503,8 +480,8 @@ class Core:
         redirect = False
         if kind.is_load_like:
             lq_entry = self.lq.allocate(entry, self.epoch)
-            if self.sb is not None:
-                self.sb.allocate(lq_entry.index)
+            if self.visibility is not None:
+                self.visibility.load_dispatched(lq_entry.index)
             for push in self._load_feeds:
                 push(entry)
         elif kind is _BRANCH:
@@ -690,26 +667,15 @@ class Core:
         lq_entry.epoch = self.epoch
         entry.addr = addr
 
-        safe = self.policy.load_is_safe(self, entry)
-        unsafe_speculative = self.policy.uses_invisispec and not safe
-        if unsafe_speculative and self.monitor is not None:
-            # The whole USL issue sequence (TLB probe, classification,
-            # forwarding scan, Spec-GetS submit) must leave the TLB and
-            # prefetcher untouched until the visibility point.
-            self.monitor.open_usl_window(self, entry.seq)
+        # A scheme without a load engine deems every load safe.
+        visibility = self.visibility
+        if visibility is not None and not self.policy.load_is_safe(self, entry):
+            if visibility.start_usl(entry, lq_entry):
+                self._issue_load_to_memory(entry, True)
+            return
 
         vpn = self.space.page_of(addr)
-        tlb_hit = self.tlb.lookup(vpn, update_state=not unsafe_speculative)
-        if not tlb_hit:
-            if unsafe_speculative:
-                # Section VI-E3: the walk is deferred to the visibility point.
-                advance_vstate(lq_entry, STATE_DEFERRED)
-                lq_entry.issued = True
-                self._deferred_tracker.push(entry)
-                self._counts["invisispec.tlb_deferred"] += 1
-                if self.monitor is not None:
-                    self.monitor.close_usl_window(self, entry.seq, "usl_deferred")
-                return
+        if not self.tlb.lookup(vpn, update_state=True):
             self.tlb.fill(vpn)
             self.kernel.schedule(
                 self.params.tlb.walk_latency,
@@ -717,80 +683,34 @@ class Core:
             )
             return
 
-        self._issue_load_to_memory(entry, unsafe_speculative)
+        self._issue_load_to_memory(entry, False)
 
     def _issue_load_to_memory(self, entry, unsafe_speculative):
+        """Issue a load whose translation is done (or, for an unsafe
+        speculative load, probed): the load engine takes the USL's half."""
         if entry.squashed:
             return
         self.wake_requested = True
-        now = self.kernel.cycle
         op = entry.op
         lq_entry = entry.lq_entry
         lq_entry.issued = True
-        lq_entry.issue_cycle = now
-        addr, size = lq_entry.addr, lq_entry.size
-        is_prefetch = op.kind is _PREFETCH
+        addr = lq_entry.addr
 
         if self.load_issue_probe is not None:
             self.load_issue_probe(self, entry, unsafe_speculative)
 
-        forwarded = self._try_store_forward(entry, lq_entry, addr, size)
+        forwarded = self._try_store_forward(entry, lq_entry, addr, lq_entry.size)
 
-        if not unsafe_speculative:
-            advance_vstate(lq_entry, STATE_NORMAL)
-            self._train_prefetcher(op.pc, addr, lq_entry=lq_entry)
-            if forwarded:
-                self._finish_load_local(entry, lq_entry, now)
-                return
-            kind = RequestKind.PREFETCH if is_prefetch else RequestKind.LOAD
-            self._submit_load(entry, lq_entry, kind)
+        if unsafe_speculative:
+            self.visibility.issue_usl(entry, lq_entry, forwarded)
             return
-
-        # Unsafe speculative load (USL).
-        advance_vstate(
-            lq_entry,
-            STATE_EXPOSURE if is_prefetch else self.visibility.classify(lq_entry),
-        )
-        self._counts["invisispec.usls"] += 1
-        if self.monitor is not None:
-            # Closed before the forwarding cascade below: a forwarded value
-            # can wake a dependent store whose own (visible) TLB access is
-            # legitimate.
-            self.monitor.close_usl_window(self, entry.seq, "usl_issued")
-
+        advance_vstate(lq_entry, STATE_NORMAL)
+        self._train_prefetcher(op.pc, addr, lq_entry=lq_entry)
         if forwarded:
-            offset = self.space.offset_in_line(addr)
-            value_bytes = [
-                (entry.value >> (8 * i)) & 0xFF for i in range(size)
-            ]
-            self.sb.forward_from_store(
-                lq_entry.index, lq_entry.line_addr, offset, value_bytes
-            )
-            # The forwarded value completes the load; the Spec-GetS below
-            # still runs to populate the SB line (Section VI-A2).
-            self._finish_load_local(entry, lq_entry, now)
-
-        older = self.lq.older_pending_request(lq_entry, lq_entry.line_addr)
-        if older is not None and not forwarded:
-            src_sb = self.sb.entry(older.index)
-            if src_sb.valid and src_sb.lq_index == older.index and older.performed:
-                # Section V-E: copy the line the older USL already brought.
-                mask = self.space.byte_mask(addr, size)
-                dst = self.sb.copy(older.index, lq_entry.index, mask)
-                self._counts["invisispec.sb_hits"] += 1
-                offset = self.space.offset_in_line(addr)
-                self._finish_usl_data(
-                    entry, lq_entry, dst.data[offset:offset + size], now + 1
-                )
-                return
-            # Wait for the older USL's line to arrive, then copy.
-            self._counts["invisispec.sb_merge_waits"] += 1
-            self._sb_waiters.setdefault(older.index, []).append(entry)
+            self._finish_load_local(entry, lq_entry)
             return
-
-        self._counts["invisispec.sb_misses"] += 1
-        kind = RequestKind.SPEC_PREFETCH if is_prefetch else RequestKind.SPEC_LOAD
-        self._submit_load(entry, lq_entry, kind)
+        kind = RequestKind.PREFETCH if op.kind is _PREFETCH else RequestKind.LOAD
+        self._submit_load(entry, lq_entry, kind, self._on_load_data)
 
     def _try_store_forward(self, entry, lq_entry, addr, size):
         """Forward from the SQ (in-flight stores) or the write buffer."""
@@ -817,8 +737,9 @@ class Core:
         self._counts["core.store_forwards"] += 1
         return True
 
-    def _submit_load(self, entry, lq_entry, kind):
-        epoch_at_issue = self.epoch
+    def _submit_load(self, entry, lq_entry, kind, on_data):
+        """Send a load's request; ``on_data(entry, lq_entry, result)`` gets
+        the reply."""
         request = MemRequest(
             core_id=self.core_id,
             addr=lq_entry.addr,
@@ -826,67 +747,18 @@ class Core:
             kind=kind,
             seq=entry.seq,
             lq_index=lq_entry.index,
-            epoch=epoch_at_issue,
-            on_complete=lambda result: self._on_load_data(
-                entry, lq_entry, kind, result
-            ),
+            epoch=self.epoch,
+            on_complete=lambda result: on_data(entry, lq_entry, result),
         )
         self.hierarchy.submit(request)
 
-    def _on_load_data(self, entry, lq_entry, kind, result):
-        if entry.squashed or not lq_entry.valid:
+    def _on_load_data(self, entry, lq_entry, result):
+        """A visible load's data arrived."""
+        if entry.squashed or not lq_entry.valid or lq_entry.forwarded:
             return
-        now = self.kernel.cycle
-        if kind.invisible:
-            mask = self.space.byte_mask(lq_entry.addr, lq_entry.size)
-            line_bytes = self.image.read_bytes(
-                lq_entry.line_addr, self.space.line_bytes
-            )
-            slot = self.sb.fill(
-                lq_entry.index,
-                lq_entry.line_addr,
-                line_bytes,
-                result.version,
-                mask,
-            )
-            self._serve_sb_waiters(lq_entry, now)
-            if lq_entry.forwarded:
-                return  # value already delivered by the store forward
-            offset = self.space.offset_in_line(lq_entry.addr)
-            data = (
-                slot.data[offset:offset + lq_entry.size]
-                if slot is not None
-                else result.data
-            )
-            self._finish_usl_data(entry, lq_entry, data, now)
-            return
-        # Visible load (N state or baseline).
-        if lq_entry.forwarded:
-            return
-        self._finish_load_value(entry, lq_entry, result.data, now)
+        self._finish_load_value(entry, lq_entry, result.data)
 
-    def _serve_sb_waiters(self, lq_entry, now):
-        waiters = self._sb_waiters.pop(lq_entry.index, None)
-        if not waiters:
-            return
-        for waiter in waiters:
-            if waiter.squashed or not waiter.lq_entry.valid:
-                continue
-            w_lq = waiter.lq_entry
-            mask = self.space.byte_mask(w_lq.addr, w_lq.size)
-            dst = self.sb.copy(lq_entry.index, w_lq.index, mask)
-            offset = self.space.offset_in_line(w_lq.addr)
-            self._finish_usl_data(
-                waiter, w_lq, dst.data[offset:offset + w_lq.size], now
-            )
-            # Serve chained waiters (a third USL may be waiting on this one).
-            self._serve_sb_waiters(w_lq, now)
-
-    def _finish_usl_data(self, entry, lq_entry, data, now):
-        """A USL's bytes arrived (from its SB line or a copy)."""
-        self._finish_load_value(entry, lq_entry, data, now)
-
-    def _finish_load_value(self, entry, lq_entry, data, now):
+    def _finish_load_value(self, entry, lq_entry, data):
         """Deliver load bytes to the register file and wake dependents."""
         value = int.from_bytes(bytes(data), "little")
         entry.value = value
@@ -896,7 +768,7 @@ class Core:
         self._counts["core.loads_performed"] += 1
         self._complete_entry(entry)
 
-    def _finish_load_local(self, entry, lq_entry, now):
+    def _finish_load_local(self, entry, lq_entry):
         lq_entry.performed = True
         self._counts["core.loads_performed"] += 1
         self._complete_entry(entry)
@@ -928,34 +800,6 @@ class Core:
                 on_complete=None,
             )
             self.hierarchy.submit(request)
-
-    # -------------------------------------------------------- deferred loads
-
-    def _tick_deferred_loads(self, now):
-        """IS loads whose TLB miss deferred them to the visibility point:
-        the oldest one walks the TLB once it becomes visible."""
-        entry = self._deferred_tracker.min_entry()
-        if entry is None:
-            return
-        lq_entry = entry.lq_entry
-        if not self.policy.visible_now(self, lq_entry):
-            return
-        self.wake_requested = True
-        advance_vstate(lq_entry, STATE_NORMAL)
-        vpn = self.space.page_of(lq_entry.addr)
-        self.tlb.fill(vpn)
-        self._counts["invisispec.tlb_walks_at_visibility"] += 1
-        self.kernel.schedule(
-            self.params.tlb.walk_latency,
-            lambda: self._issue_deferred(entry, lq_entry),
-        )
-
-    def _issue_deferred(self, entry, lq_entry):
-        if entry.squashed or not lq_entry.valid:
-            return
-        if lq_entry.forwarded or lq_entry.performed:
-            return
-        self._submit_load(entry, lq_entry, RequestKind.LOAD)
 
     # ---------------------------------------------------------------- stores
 
@@ -1038,11 +882,6 @@ class Core:
                     head.fence_done = True
 
             if head.state != "completed":
-                if kind.is_load_like and head.lq_entry is not None:
-                    lq_entry = head.lq_entry
-                    if lq_entry.performed and lq_entry.vstate == STATE_VALIDATION:
-                        self._retire_stall = "invisispec.validation_stall_cycles"
-                        counts[self._retire_stall] += 1
                 break
 
             if kind.is_load_like:
@@ -1064,8 +903,8 @@ class Core:
                 if retired_lq is not lq_entry:
                     raise SimulationError("LQ head does not match retiring load")
                 lq_entry.valid = False
-                if self.sb is not None:
-                    self.sb.invalidate(lq_entry.index)
+                if self.visibility is not None:
+                    self.visibility.load_retired(lq_entry.index)
                 head.lq_entry = None  # leaves no ROB <-> LQ cycle behind
             elif kind is _STORE:
                 if self.write_buffer.full:
@@ -1259,11 +1098,11 @@ class Core:
             self._waiters.pop(entry.seq, None)
 
         if min_lq is not None:
+            visibility = self.visibility
             for dropped in self.lq.squash_to(min_lq):
                 dropped.valid = False
-                if self.sb is not None:
-                    self.sb.invalidate(dropped.index)
-                self._sb_waiters.pop(dropped.index, None)
+                if visibility is not None:
+                    visibility.load_squashed(dropped.index)
         if min_sq is not None:
             self.sq.squash_to(min_sq)
 
@@ -1297,7 +1136,7 @@ class Core:
     def on_l1_eviction(self, line_addr):
         self.wake_requested = True
         self._counts["core.l1_evictions_seen"] += 1
-        if self.policy.uses_invisispec:
+        if self.visibility is not None:
             # InvisiSpec does not squash on evictions: E-marked loads are
             # protected by their exposure, V-marked by their validation
             # (Section IX-C).

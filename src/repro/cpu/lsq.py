@@ -49,9 +49,7 @@ class LoadQueueEntry:
         "visibility_done",
         "validation_inflight",
         "forwarded",
-        "deferred_tlb",
         "epoch",
-        "issue_cycle",
         "visibility_issue_cycle",
     )
 
@@ -72,9 +70,7 @@ class LoadQueueEntry:
         self.visibility_done = False
         self.validation_inflight = False
         self.forwarded = False
-        self.deferred_tlb = False
         self.epoch = epoch
-        self.issue_cycle = None
         self.visibility_issue_cycle = None
 
     def __repr__(self):

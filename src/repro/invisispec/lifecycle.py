@@ -41,11 +41,6 @@ VSTATE_TRANSITIONS = frozenset(
     }
 )
 
-#: vstates in which the USL has not yet reached its visibility point:
-#: its data lives only in the SB and no observer-visible state may have
-#: been touched on its behalf.
-PRE_VISIBILITY_STATES = frozenset({STATE_EXPOSURE, STATE_VALIDATION})
-
 
 def advance_vstate(lq_entry, new_state):
     """Move ``lq_entry.vstate`` along a table edge; reject anything else."""

@@ -34,15 +34,11 @@ class LLCSpeculativeBuffer:
         self._slots = [LLCSBEntry() for _ in range(capacity)]
         self._line_counts = {}  # line_addr -> valid slots holding it
         self.stat_inserts = 0
-        self.stat_stale_drops = 0
-        self.stat_hits = 0
-        self.stat_misses = 0
-        self.stat_line_invalidations = 0
 
     def _slot(self, lq_index):
         return self._slots[lq_index % self.capacity]
 
-    def insert(self, lq_index, line_addr, epoch, at_cycle=0):
+    def insert(self, lq_index, line_addr, epoch):
         """Deposit a line fetched from memory by a Spec-GetS.
 
         Dropped if the slot already holds data from a *newer* epoch: the
@@ -52,7 +48,6 @@ class LLCSpeculativeBuffer:
         slot = self._slot(lq_index)
         if slot.valid:
             if slot.epoch > epoch:
-                self.stat_stale_drops += 1
                 return False
             self._forget(slot.line_addr)
         counts = self._line_counts
@@ -66,13 +61,9 @@ class LLCSpeculativeBuffer:
     def match(self, lq_index, line_addr, epoch):
         """Validation/exposure probe: address and epoch must both match."""
         slot = self._slot(lq_index)
-        if slot.valid and slot.line_addr == line_addr and slot.epoch == epoch:
-            self.stat_hits += 1
-            # The entry is consumed: the line is moving into the LLC and the
-            # hierarchy purges it from every LLC-SB right after this.
-            return True
-        self.stat_misses += 1
-        return False
+        # A hit consumes the entry: the line is moving into the LLC and the
+        # hierarchy purges it from every LLC-SB right after this.
+        return slot.valid and slot.line_addr == line_addr and slot.epoch == epoch
 
     def invalidate_line(self, line_addr):
         """Purge any entry holding ``line_addr`` (another core touched it,
@@ -83,7 +74,6 @@ class LLCSpeculativeBuffer:
         for slot in self._slots:
             if slot.valid and slot.line_addr == line_addr:
                 slot.valid = False
-                self.stat_line_invalidations += 1
 
     def _forget(self, line_addr):
         """One valid slot of ``line_addr`` is being overwritten."""

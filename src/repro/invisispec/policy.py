@@ -9,7 +9,9 @@ A scheme policy answers, for its core:
 * whether a USL has reached its *visibility point* (Section V-B);
 * how validations and exposures may overlap (Section V-D);
 * which of its core's squash trackers it reads (:attr:`SchemePolicy.reads`;
-  see :mod:`repro.cpu.tracking`).
+  see :mod:`repro.cpu.tracking`);
+* whether its core gets an InvisiSpec load engine
+  (:meth:`SchemePolicy.make_engine`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from ..configs import Scheme
 from ..cpu.tracking import SQUASH_CONDITIONS
 from ..errors import ConfigError
+from .valexp import VisibilityEngine
 
 
 class SchemePolicy:
@@ -25,11 +28,16 @@ class SchemePolicy:
     name = "Base"
     inserts_fence_after_branch = False
     inserts_fence_before_load = False
-    uses_invisispec = False
     #: IS-Future requires validations to block later val/exp issues.
     validation_blocks_overlap = False
     #: The core trackers this policy queries (:mod:`repro.cpu.tracking`).
     reads = frozenset()
+    #: The InvisiSpec load engine class of an IS scheme's cores.
+    engine = None
+
+    def make_engine(self, core):
+        """Build ``core``'s load engine; ``None`` when every load is safe."""
+        return self.engine(core) if self.engine is not None else None
 
     def load_is_safe(self, core, rob_entry):
         """Safe loads issue normal coherence transactions (State N)."""
@@ -60,9 +68,9 @@ class ISSpectrePolicy(SchemePolicy):
     branches resolve.  Validations and exposures may all overlap."""
 
     name = "IS-Sp"
-    uses_invisispec = True
     validation_blocks_overlap = False
     reads = frozenset(("branch",))
+    engine = VisibilityEngine
 
     def load_is_safe(self, core, rob_entry):
         branch_seq = core.min_unresolved_branch_seq()
@@ -81,9 +89,9 @@ class ISFuturePolicy(SchemePolicy):
     conditions (i)-(v)), with interrupts delayed for the duration."""
 
     name = "IS-Fu"
-    uses_invisispec = True
     validation_blocks_overlap = True
     reads = SQUASH_CONDITIONS
+    engine = VisibilityEngine
 
     # Every entry the Section VIII trackers hold active is in the ROB, so
     # nothing older than the ROB head can squash it: a head load is always

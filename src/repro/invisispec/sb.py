@@ -32,7 +32,6 @@ class SBEntry:
         "data",
         "version",
         "address_mask",
-        "fill_pending",
         "from_store_mask",
     )
 
@@ -46,7 +45,6 @@ class SBEntry:
         self.data = None  # tuple of byte values actually read
         self.version = 0
         self.address_mask = 0
-        self.fill_pending = False
         self.from_store_mask = 0  # bytes forwarded from an older store
 
     def __repr__(self):
@@ -101,7 +99,6 @@ class SpeculativeBuffer:
         slot.data = tuple(line_data)
         slot.version = version
         slot.address_mask |= address_mask
-        slot.fill_pending = False
         self.stat_fills += 1
         return slot
 
@@ -142,7 +139,6 @@ class SpeculativeBuffer:
         dst.data = src.data
         dst.version = src.version
         dst.address_mask = address_mask
-        dst.fill_pending = False
         return dst
 
     def invalidate(self, lq_index):

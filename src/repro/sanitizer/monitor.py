@@ -406,8 +406,9 @@ class Sanitizer:
                     f"SQ over capacity ({len(core.sq)}/{core.sq.capacity})",
                     core_id=cid,
                 )
-            if core.sb is not None:
-                for slot in core.sb.valid_entries():
+            visibility = core.visibility
+            if visibility is not None:
+                for slot in visibility.sb.valid_entries():
                     lq_entry = core.lq.slot(slot.lq_index)
                     if (
                         lq_entry is None
@@ -420,7 +421,7 @@ class Sanitizer:
                             f"cleanup failed",
                             core_id=cid, line=slot.line_addr,
                         )
-                for lq_index, waiters in core._sb_waiters.items():
+                for lq_index, waiters in visibility.sb_waiters.items():
                     if not any(not w.squashed for w in waiters):
                         continue
                     src = core.lq.slot(lq_index)
@@ -430,8 +431,8 @@ class Sanitizer:
                             f"lq_index={lq_index}",
                             core_id=cid,
                         )
-            if core.llc_sb is not None:
-                for slot in core.llc_sb._slots:
+            if hierarchy.llc_sbs is not None:
+                for slot in hierarchy.llc_sbs[cid]._slots:
                     if slot.valid and slot.epoch > core.epoch:
                         self._structural_violation(
                             f"LLC-SB entry from future epoch {slot.epoch} "
@@ -459,7 +460,7 @@ class Sanitizer:
                         "done core left entries in the write buffer",
                         core_id=cid,
                     )
-                if core.sb is not None and core.sb.valid_entries():
+                if visibility is not None and visibility.sb.valid_entries():
                     self._structural_violation(
                         "done core left valid SB entries", core_id=cid
                     )

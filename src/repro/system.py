@@ -22,6 +22,7 @@ from .configs import ProcessorConfig
 from .coherence.hierarchy import CacheHierarchy
 from .cpu.core import Core
 from .errors import ConfigError, SimulationError
+from .invisispec.llc_sb import LLCSpeculativeBuffer
 from .mem.address import AddressSpace
 from .mem.memimage import MemoryImage
 from .params import SystemParams
@@ -162,7 +163,13 @@ class System:
             self.cores.append(core)
             self.kernel.register(core)
         if config.is_invisispec and config.llc_sb_enabled:
-            self.hierarchy.set_llc_sbs([core.llc_sb for core in self.cores])
+            self.hierarchy.set_llc_sbs([
+                LLCSpeculativeBuffer(
+                    params.core.load_queue_entries,
+                    access_latency=params.l2_bank.round_trip_latency,
+                )
+                for _ in self.cores
+            ])
         # Optional runtime invariant sanitizer (repro.sanitizer): accepts a
         # Sanitizer instance or a mode string ("strict" / "record").
         self.sanitizer = make_sanitizer(sanitizer)
@@ -238,6 +245,7 @@ class System:
         for category, count in noc.traffic_breakdown().items():
             counters.set(f"noc.bytes.{category}", count)
         counters.set("dram.accesses", self.hierarchy.dram.stat_accesses)
+        llc_sbs = self.hierarchy.llc_sbs
         for core in self.cores:
             counters.bump("core.total_retired", core.retired_instructions)
             counters.bump(
@@ -246,7 +254,10 @@ class System:
             counters.bump("core.branch_predictor_lookups", core.predictor.stat_lookups)
             counters.bump("tlb.hits", core.tlb.stat_hits)
             counters.bump("tlb.misses", core.tlb.stat_misses)
-            if core.llc_sb is not None:
-                counters.bump("invisispec.llc_sb_inserts", core.llc_sb.stat_inserts)
-            if core.sb is not None:
-                counters.bump("invisispec.sb_fills", core.sb.stat_fills)
+            if core.visibility is not None:
+                # 0 inserts when the LLC-SB is turned off.
+                counters.bump(
+                    "invisispec.llc_sb_inserts",
+                    llc_sbs[core.core_id].stat_inserts if llc_sbs else 0,
+                )
+                counters.bump("invisispec.sb_fills", core.visibility.sb.stat_fills)

@@ -6,7 +6,15 @@ declare their reads (:mod:`repro.cpu.tracking`); a judge attached with
 unread tracker is never queried, so it would keep every op it was fed
 alive until the run ends; the last case pins that a Base run no longer
 does.
+
+The InvisiSpec hardware sits beside the core the same way: only an IS
+scheme's policy builds a load engine, and the core itself names no SB,
+LLC-SB or engine class.
 """
+
+import ast
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +62,40 @@ def test_each_scheme_builds_what_it_and_its_model_read(scheme, model):
             "branch" in expected
         )
         assert hasattr(core, "min_incomplete_sync_seq") == (model is _RC)
+
+
+@pytest.mark.parametrize("model", [_TSO, _RC], ids=lambda m: m.value)
+@pytest.mark.parametrize("scheme", list(_SCHEME_READS), ids=lambda s: s.value)
+def test_only_an_invisispec_scheme_builds_a_load_engine(scheme, model):
+    with _context(scheme, model) as context:
+        core = context.system.cores[0]
+        assert (core.visibility is not None) == context.config.is_invisispec
+        assert not hasattr(core, "sb")
+        assert not hasattr(core, "llc_sb")
+
+
+def test_core_imports_only_the_policy_factory_and_lifecycle_from_invisispec():
+    tree = ast.parse(Path(core_module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {
+                (alias.name, None) for alias in node.names
+                if alias.name.startswith("repro.invisispec")
+            }
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "repro.cpu"
+            )
+            if module.startswith("repro.invisispec"):
+                imported |= {(module, alias.name) for alias in node.names}
+    assert imported
+    for module, name in imported:
+        assert (
+            module == "repro.invisispec.lifecycle"
+            or (module == "repro.invisispec" and name == "lifecycle")
+            or name == "make_scheme_policy"
+        ), (module, name)
 
 
 def _recording_judge(verdicts):

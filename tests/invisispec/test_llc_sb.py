@@ -28,7 +28,7 @@ class TestLLCSpeculativeBuffer:
         sb.insert(3, 0x2000, epoch=7)
         assert not sb.insert(3, 0x1000, epoch=5)
         assert sb.match(3, 0x2000, epoch=7)
-        assert sb.stat_stale_drops == 1
+        assert sb.stat_inserts == 1
 
     def test_newer_epoch_overwrites(self):
         sb = LLCSpeculativeBuffer(8)
@@ -43,7 +43,8 @@ class TestLLCSpeculativeBuffer:
         sb.insert(3, 0x3000, epoch=1)
         sb.invalidate_line(0x1000)
         assert sb.valid_lines() == [0x3000]
-        assert sb.stat_line_invalidations == 2
+        assert not sb.match(1, 0x1000, epoch=1)
+        assert not sb.match(2, 0x1000, epoch=1)
 
     def test_slot_wraps_by_capacity(self):
         sb = LLCSpeculativeBuffer(4)
@@ -55,7 +56,6 @@ class TestLLCSpeculativeBuffer:
     def test_stats(self):
         sb = LLCSpeculativeBuffer(4)
         sb.insert(0, 0x1000, epoch=0)
-        sb.match(0, 0x1000, epoch=0)
-        sb.match(0, 0x9000, epoch=0)
-        assert sb.stat_hits == 1
-        assert sb.stat_misses == 1
+        assert sb.match(0, 0x1000, epoch=0)
+        assert not sb.match(0, 0x9000, epoch=0)
+        assert sb.stat_inserts == 1

@@ -36,7 +36,7 @@ class TestFactory:
 class TestPolicyFlags:
     def test_base_is_permissive(self):
         policy = SchemePolicy()
-        assert not policy.uses_invisispec
+        assert policy.make_engine(None) is None
         assert not policy.inserts_fence_after_branch
         assert not policy.inserts_fence_before_load
         assert policy.load_is_safe(None, None)

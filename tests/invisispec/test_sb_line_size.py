@@ -37,4 +37,4 @@ def test_core_sizes_its_sb_from_the_address_space():
         params, ProcessorConfig(scheme=Scheme.IS_FUTURE),
         [SyntheticTrace(SPEC_PROFILES["mcf"], seed=0)],
     )
-    assert system.cores[0].sb.line_bytes == line
+    assert system.cores[0].visibility.sb.line_bytes == line

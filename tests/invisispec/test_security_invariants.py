@@ -54,7 +54,8 @@ class TestSquashedStateUnusable:
         core = system.cores[0]
         line = system.space.line_of(target)
         assert all(
-            entry.line_addr != line for entry in core.sb.valid_entries()
+            entry.line_addr != line
+            for entry in core.visibility.sb.valid_entries()
         )
 
     def test_llc_sb_entry_stale_after_epoch_bump(self):
@@ -66,7 +67,7 @@ class TestSquashedStateUnusable:
                                  wrong_paths=wrong)
         core = system.cores[0]
         line = system.space.line_of(target)
-        for slot in core.llc_sb._slots:
+        for slot in system.hierarchy.llc_sbs[0]._slots:
             if slot.valid and slot.line_addr == line:
                 assert slot.epoch < core.epoch
 
