@@ -18,7 +18,7 @@ def main():
     print("  python examples/quickstart.py")
     print("  python examples/spectre_attack.py")
     print("  pytest tests/")
-    print("  pytest benchmarks/ --benchmark-only")
+    print("  python3 perfbench/run.py --workload spec-base")
     return 0
 
 

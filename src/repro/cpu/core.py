@@ -75,7 +75,7 @@ from ..invisispec.policy import make_scheme_policy
 from ..mem.prefetcher import StridePrefetcher
 from ..mem.tlb import DataTLB
 from ..mem.writebuffer import WriteBuffer
-from .branch import BTB, ReturnAddressStack, TournamentPredictor
+from .branch import TournamentPredictor
 from .icache import ICacheTrafficModel
 from .interrupts import InterruptUnit
 from .isa import MicroOp, OpKind
@@ -151,8 +151,6 @@ class Core:
             fifo=self.consistency.fifo_write_buffer,
         )
         self.predictor = TournamentPredictor()
-        self.btb = BTB(core_params.btb_entries)
-        self.ras = ReturnAddressStack(core_params.ras_entries)
         self.tlb = DataTLB(params.tlb)
         self.interrupts = InterruptUnit(core_params.interrupt_interval)
         self.prefetcher = (

@@ -41,22 +41,12 @@ from ..reliability import (
     RunJournal,
     Supervisor,
 )
+from ..reliability.pool import parse_size
 from . import ALL_EXPERIMENTS, figures
 
 #: Generous per-cell cycle budget: an order of magnitude above the slowest
 #: legitimate full-suite cell, so only runaway runs and injected drops trip.
 DEFAULT_MAX_CYCLES = 50_000_000
-
-_SIZE_SUFFIXES = {"K": 2**10, "M": 2**20, "G": 2**30}
-
-
-def parse_size(text):
-    """``512M`` / ``2G`` / ``1048576`` -> bytes."""
-    text = text.strip()
-    suffix = text[-1:].upper()
-    if suffix in _SIZE_SUFFIXES:
-        return int(float(text[:-1]) * _SIZE_SUFFIXES[suffix])
-    return int(text)
 
 
 def journal_name(experiment):

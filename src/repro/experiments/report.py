@@ -146,13 +146,13 @@ PYTHONPATH=src python -m repro.service request --port 8753 \
 Cached responses are bit-identical to fresh computes (SHA-256-checked
 on every read; corrupt shards are quarantined and recomputed, never
 served), so a cache hit is always a valid measurement.
-`benchmarks/run_service_bench.py` records the reference numbers in
-`results/BENCH_service.json`: ≥ 90% hit rate on a repeat-heavy
-workload (92.3% at 12 repeats), sub-millisecond hot-path p50 vs
-~22 ms cold, explicit shedding under a 48-request overload burst, and
-the chaos checks (injected worker SIGKILL fails explicitly after the
-2-crash cap, corrupt-shard recompute is bit-identical, zero wrong
-answers).
+`tests/service` checks that a repeat of every specflow program, under
+both models, is a cache hit bit-identical to its cold answer; that a
+flood past the admission limit sheds explicitly; that an injected
+worker SIGKILL fails explicitly after the 2-crash cap; and that a
+corrupt shard is recomputed bit-identically.  `python3 perfbench/run.py
+--workload service-mixed` measures the service's throughput and its
+cold and hot latency (`docs/SERVICE.md`).
 
 ### Protocol verification before measuring
 

@@ -19,20 +19,11 @@ import argparse
 import json
 import sys
 
+from ..reliability.pool import parse_size
 from .corpus import TriageCorpus
 from .generator import FuzzProgram
 from .harness import differential_check
 from .campaign import run_campaign
-
-_SIZE_SUFFIXES = {"K": 2**10, "M": 2**20, "G": 2**30}
-
-
-def parse_size(text):
-    text = text.strip().upper()
-    suffix = text[-1:] if text else ""
-    if suffix in _SIZE_SUFFIXES:
-        return int(float(text[:-1]) * _SIZE_SUFFIXES[suffix])
-    return int(text)
 
 
 def _campaign_parser():

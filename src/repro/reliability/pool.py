@@ -63,7 +63,7 @@ from multiprocessing.connection import wait as _conn_wait
 from ..errors import ReproError, WorkerCrashError
 from .worker import AttemptRequest, worker_main
 
-__all__ = ["LeasePool", "PoolClosedError"]
+__all__ = ["LeasePool", "PoolClosedError", "parse_size"]
 
 #: Fork where the platform has it: fork-started workers inherit the
 #: parent's imports (and test monkeypatches); spawn is the fallback.
@@ -74,6 +74,18 @@ _CONTEXT = multiprocessing.get_context(
 
 class PoolClosedError(ReproError):
     """A lease was submitted to (or stranded in) a closed pool."""
+
+
+_SIZE_SUFFIXES = {"K": 2**10, "M": 2**20, "G": 2**30}
+
+
+def parse_size(text):
+    """``512M`` / ``2G`` / ``1048576`` -> bytes, for a ``max_rss`` flag."""
+    text = text.strip()
+    suffix = text[-1:].upper()
+    if suffix in _SIZE_SUFFIXES:
+        return int(float(text[:-1]) * _SIZE_SUFFIXES[suffix])
+    return int(text)
 
 
 def _rss_bytes(pid):

@@ -24,6 +24,7 @@ import json
 import sys
 
 from ..reliability.atomic_io import atomic_write_text
+from ..reliability.pool import parse_size
 from .client import request_sync, status_sync
 from .server import build_service, serve
 
@@ -56,7 +57,7 @@ def _parser():
                      help="default per-request deadline in seconds")
     srv.add_argument("--max-attempts", type=int, default=3,
                      help="retry budget per request (default 3)")
-    srv.add_argument("--max-rss", default=None,
+    srv.add_argument("--max-rss", type=parse_size, default=None,
                      help="per-worker RSS ceiling, e.g. 512M")
     srv.add_argument("--heartbeat-timeout", type=float, default=60.0)
     srv.add_argument("--drain-timeout", type=float, default=30.0,
@@ -90,26 +91,13 @@ def _parser():
     return parser
 
 
-_SIZE_SUFFIXES = {"K": 2**10, "M": 2**20, "G": 2**30}
-
-
-def _parse_size(text):
-    if text is None:
-        return None
-    text = text.strip().upper()
-    suffix = text[-1:]
-    if suffix in _SIZE_SUFFIXES:
-        return int(float(text[:-1]) * _SIZE_SUFFIXES[suffix])
-    return int(text)
-
-
 def _cmd_serve(args):
     service = build_service(
         store_dir=args.store,
         workers=args.workers,
         max_depth=args.max_depth,
         per_client_cap=args.per_client_cap,
-        max_rss=_parse_size(args.max_rss),
+        max_rss=args.max_rss,
         heartbeat_timeout=args.heartbeat_timeout,
         default_deadline_s=args.deadline,
         journal_path=args.journal,

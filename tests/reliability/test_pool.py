@@ -28,6 +28,7 @@ from repro.reliability import (
     RunJournal,
     Supervisor,
 )
+from repro.reliability.pool import parse_size
 from repro.reliability.worker import PARENT_CHECK_S, worker_main
 
 
@@ -475,3 +476,18 @@ class TestWorkerParentPid:
                 process.join()
             for conn in (task_recv, task_send, result_recv, result_send):
                 conn.close()
+
+
+@pytest.mark.parametrize("text, size", [
+    ("512M", 512 * 2**20),
+    ("2G", 2 * 2**30),
+    ("1k", 2**10),
+    ("1048576", 1048576),
+])
+def test_parse_size(text, size):
+    assert parse_size(text) == size
+
+
+def test_parse_size_rejects_malformed_value():
+    with pytest.raises(ValueError):
+        parse_size("12X")

@@ -22,39 +22,22 @@ from __future__ import annotations
 import json
 import os
 import re
+from functools import partial
 
 import pytest
 
 from repro.configs import ProcessorConfig, Scheme
 from repro.cpu.core import Core
 from repro.invisispec.policy import ISFuturePolicy
-from repro.security import (
-    VARIANTS,
-    run_cross_core_attack,
-    run_exception_attack,
-    run_meltdown_style_attack,
-    run_spectre_v1,
-    run_ssb_attack,
-)
+from repro.security import POCS as REGISTRY
 from repro.specflow.evidence import gather_evidence
 from repro.specflow.programs import attack_programs, hardened_programs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "poc_golden.json")
 
-POCS = {
-    "spectre_v1": lambda config: run_spectre_v1(config, trials=1),
-    "meltdown_style": run_meltdown_style_attack,
-    "ssb": run_ssb_attack,
-    "cross_core": run_cross_core_attack,
-    **{
-        f"exception_{variant}": (
-            lambda config, variant=variant: run_exception_attack(
-                config, variant
-            )
-        )
-        for variant in VARIANTS
-    },
-}
+#: Each PoC's run at its default secret; Spectre v1 at one trial.
+POCS = {poc.name: poc.run for poc in REGISTRY}
+POCS["spectre_v1"] = partial(POCS["spectre_v1"], trials=1)
 
 EVIDENCE_PROGRAMS = tuple(
     prog.name for prog in attack_programs() + hardened_programs()
@@ -107,7 +90,7 @@ GOLDEN = _load_golden() if os.path.exists(GOLDEN_PATH) else None
 
 
 def test_golden_covers_every_poc_and_program():
-    assert sorted(GOLDEN["pocs"]) == sorted(POCS)
+    assert sorted(GOLDEN["pocs"]) == sorted(poc.name for poc in REGISTRY)
     assert sorted(GOLDEN["evidence"]) == sorted(EVIDENCE_PROGRAMS)
 
 

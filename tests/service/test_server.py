@@ -18,6 +18,7 @@ from repro.service.client import ServiceClient
 from repro.service.envelope import JobRequest, canonical_json
 from repro.service.server import AnalysisService, ServiceJournal, serve
 from repro.service.store import ResultStore
+from repro.specflow.programs import all_programs
 
 
 def run(coro, timeout=120):
@@ -151,6 +152,42 @@ class TestCaching:
         first, second, entries = run(main())
         assert first["cached"] is False and second["cached"] is False
         assert entries == 0
+
+    def test_every_specflow_program_repeats_as_a_bit_identical_hit(
+        self, tmp_path
+    ):
+        # Real compute over the whole specflow corpus: each (program,
+        # model) job runs cold once, and its repeat must be a cache hit
+        # whose metrics equal the cold answer bit for bit.
+        payloads = [
+            {"program": program.name, "model": model}
+            for program in all_programs(seed=0)
+            for model in ("spectre", "futuristic")
+        ]
+
+        async def main():
+            service = await _service(tmp_path).start()
+            try:
+                cold = [
+                    await service.submit(JobRequest("specflow", payload))
+                    for payload in payloads
+                ]
+                hot = [
+                    await service.submit(JobRequest("specflow", payload))
+                    for payload in payloads
+                ]
+                return cold, hot
+            finally:
+                await service.drain(timeout=10)
+
+        cold, hot = run(main())
+        for first, repeat in zip(cold, hot):
+            assert first["status"] == "ok", first
+            assert repeat["status"] == "ok", repeat
+            assert repeat["cached"] is True, repeat
+            assert canonical_json(repeat["metrics"]) == canonical_json(
+                first["metrics"]
+            )
 
 
 class TestFailurePolicy:
