@@ -9,10 +9,11 @@ For each sim workload this runs one traced pass of perfbench at seed 0
 (``perfbench/run.py --workload W --seed 0 --seconds 0 --trace 1``) and
 reads the exact counts below from its JSON line.  They count calls and
 events, not time, so they repeat exactly on any host and across
-``PYTHONHASHSEED`` values.  The traced pass follows an untraced pass in
-the same process, so the runner's pre-training memo is warm and
-``workloads.next_op_calls`` counts only the cells' own ops: a memo that
-stops hitting raises it by 15k per walk.
+``PYTHONHASHSEED`` values.  ``workloads.next_op_calls`` counts only the
+cells' own ops: pre-training advances its throwaway trace with
+``SyntheticTrace.skip``, which builds no ops and calls no ``next_op``, so
+a pre-training memo miss leaves the count as it is (it shows in
+``runner.pretrain_s`` instead).
 
 The check fails (exit 1) when a run is not ``"correct": true`` — every cell
 must match its golden snapshot, and the tracer must still find every

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 from .cpu.branch import TournamentPredictor
-from .cpu.isa import OpKind
 from .params import SystemParams
 from .system import System
 from .workloads import PARSEC_PROFILES, SPEC_PROFILES, SyntheticTrace, parsec_traces
@@ -64,16 +63,20 @@ def _pretrained(profile, seed, core_id, ops, geometry):
 
 
 def _walk_predictor(predictor, profile, seed, core_id, ops):
-    """Walk the same committed stream through the predictor, in order."""
-    next_op = SyntheticTrace(profile, seed=seed, core_id=core_id).next_op
+    """Train ``predictor`` on the branches of the first ``ops`` committed
+    ops of a throwaway trace, in order.
+
+    :meth:`SyntheticTrace.skip` advances the trace without building its
+    ops; a change to ``next_op``'s draws must be mirrored in ``skip``
+    (``tests/workloads/test_skip.py``).
+    """
     predict, update = predictor.predict, predictor.update
-    branch = OpKind.BRANCH
-    for _ in range(ops):
-        op = next_op()
-        if op.kind is branch:
-            pc, taken = op.pc, op.taken
-            predicted, checkpoint = predict(pc)
-            update(pc, taken, checkpoint, predicted != taken)
+
+    def train(pc, taken):
+        predicted, checkpoint = predict(pc)
+        update(pc, taken, checkpoint, predicted != taken)
+
+    SyntheticTrace(profile, seed=seed, core_id=core_id).skip(ops, train)
 
 
 def run_spec(

@@ -15,15 +15,15 @@ Memory layout per core (core *c*):
   of cross-core invalidations and consistency squashes.
 
 Bounded draws.  ``next_op`` and ``wrong_path_op`` run for every op the
-pipeline fetches and every op pre-training walks, so they are flat code:
-what they read is bound to locals, the random-region address is their only
-helper call, and every bounded draw is written out as the rejection loop
-CPython's ``Random.randrange(n)`` runs for ``n > 0``: draw
-``getrandbits(n.bit_length())`` until the value is below ``n``.  That
-takes the same numbers from the same generator state as ``randrange(n)``
-without its two Python-level calls.  The bit widths are fixed per trace;
-``tests/workloads/test_bounded_draws.py`` pins the equivalence for every
-bound the generator uses.
+pipeline fetches, and ``skip`` for every op pre-training walks, so they
+are flat code: what they read is bound to locals, the random-region
+address is their only helper call, and every bounded draw is written out
+as the rejection loop CPython's ``Random.randrange(n)`` runs for
+``n > 0``: draw ``getrandbits(n.bit_length())`` until the value is below
+``n``.  That takes the same numbers from the same generator state as
+``randrange(n)`` without its two Python-level calls.  The bit widths are
+fixed per trace; ``tests/workloads/test_bounded_draws.py`` pins the
+equivalence for every bound the generator uses.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ class SyntheticTrace(TraceSource):
     # ------------------------------------------------------------ correct path
 
     def next_op(self):
+        """The next correct-path op.
+
+        :meth:`skip` makes these draws, in this order, without building
+        the ops; a change to the draws here must be mirrored there.
+        """
         forced = self._forced
         if forced:
             return forced.pop(0)
@@ -248,6 +253,101 @@ class SyntheticTrace(TraceSource):
         while slot >= _PC_SLOTS:
             slot = getrandbits(_PC_BITS)
         return MicroOp(kind, 0x30_0000 + 4 * slot, deps=deps, latency=latency)
+
+    def skip(self, ops, on_branch):
+        """Advance past ``ops`` correct-path ops without building them.
+
+        The trace ends in the state ``ops`` calls of :meth:`next_op` leave
+        it in: the same draws in the same order, the same recent pages,
+        streaming position, load distance, sync countdown, queued critical
+        section and branch count, so the ops that follow (and their wrong
+        paths) are the ones ``next_op`` would have given.  Each branch
+        skipped is passed to ``on_branch(pc, taken)`` in stream order.
+
+        A change to :meth:`next_op`'s draws must be mirrored here;
+        ``tests/workloads/test_skip.py`` keeps the two in step.
+        """
+        profile = self.profile
+        forced = self._forced
+        random_ = self._random
+        getrandbits = self._getrandbits
+        random_region_addr = self._random_region_addr
+        sync_interval = profile.sync_interval
+        load_frac = profile.load_frac
+        store_cut, branch_cut = self._store_cut, self._branch_cut
+        shared_fraction = profile.shared_fraction
+        stride_fraction = profile.stride_fraction
+        load_dep_fraction = profile.load_dep_fraction
+        shared_lines, shared_bits = profile.shared_lines, self._shared_bits
+        branch_pcs, branch_pc_bits = profile.branch_pcs, self._branch_pc_bits
+        branch_bias = self._branch_bias
+        since = self._ops_since_load
+        countdown = self._sync_countdown
+        stream_steps = branches = 0
+        try:
+            for _ in range(ops):
+                if forced:
+                    del forced[0]
+                    continue
+                if sync_interval:
+                    countdown -= 1
+                    if countdown <= 0:
+                        countdown = sync_interval
+                        self._queue_critical_section()
+                        del forced[0]
+                        continue
+
+                r = random_()
+                if r < store_cut:
+                    if shared_fraction and random_() < shared_fraction:
+                        line = getrandbits(shared_bits)
+                        while line >= shared_lines:
+                            line = getrandbits(shared_bits)
+                        word = getrandbits(_WORD_BITS)
+                        while word >= _WORDS_PER_LINE:
+                            word = getrandbits(_WORD_BITS)
+                    elif stride_fraction and random_() < stride_fraction:
+                        stream_steps += 1
+                    else:
+                        random_region_addr(random_, getrandbits)
+                    if r < load_frac:
+                        if load_dep_fraction and since < 8:
+                            random_()  # load_dep_fraction
+                        since = 0
+                        slot = getrandbits(_PC_BITS)
+                        while slot >= _PC_SLOTS:
+                            slot = getrandbits(_PC_BITS)
+                    else:
+                        slot = getrandbits(_PC_BITS)
+                        while slot >= _PC_SLOTS:
+                            slot = getrandbits(_PC_BITS)
+                        value = getrandbits(_STORE_VALUE_BITS)
+                        while value >= _STORE_VALUES:
+                            value = getrandbits(_STORE_VALUE_BITS)
+                elif r < branch_cut:
+                    slot = getrandbits(branch_pc_bits)
+                    while slot >= branch_pcs:
+                        slot = getrandbits(branch_pc_bits)
+                    pc = 0x40_0000 + 4 * slot
+                    taken = random_() < branch_bias[pc]
+                    if since < 8:
+                        random_()  # branch_dep_fraction
+                    since += 1
+                    branches += 1
+                    on_branch(pc, taken)
+                else:
+                    if since < 8:
+                        random_()  # alu_dep_fraction
+                    since += 1
+                    random_()  # fp_fraction
+                    slot = getrandbits(_PC_BITS)
+                    while slot >= _PC_SLOTS:
+                        slot = getrandbits(_PC_BITS)
+        finally:
+            self._ops_since_load = since
+            self._sync_countdown = countdown
+            self._stream_pos += stream_steps
+            self._branches_emitted += branches
 
     def _queue_critical_section(self):
         """acquire; shared load; shared store; release."""

@@ -10,7 +10,9 @@ from repro import ConsistencyModel, ProcessorConfig, Scheme, runner
 from repro.cpu.branch import TournamentPredictor
 from repro.experiments import figures
 from repro.runner import DEFAULT_PRETRAIN_OPS, run_spec
-from repro.workloads import PARSEC_PROFILES, SPEC_PROFILES
+from repro.workloads import PARSEC_PROFILES, SPEC_PROFILES, SyntheticTrace
+
+from .workloads.test_skip import walk_with_next_op
 
 
 class TestPretraining:
@@ -52,6 +54,17 @@ class TestPretraining:
 def _fresh_walk(profile, seed, core_id, ops):
     predictor = TournamentPredictor()
     runner._walk_predictor(predictor, profile, seed, core_id, ops)
+    return predictor
+
+
+def _next_op_walk(profile, seed, core_id, ops):
+    """The reference walk: build every op with ``next_op``, train on its
+    branches."""
+    predictor = TournamentPredictor()
+    trace = SyntheticTrace(profile, seed=seed, core_id=core_id)
+    for pc, taken in walk_with_next_op(trace, ops):
+        predicted, checkpoint = predictor.predict(pc)
+        predictor.update(pc, taken, checkpoint, predicted != taken)
     return predictor
 
 
@@ -100,10 +113,12 @@ class TestPretrainMemo:
     @pytest.mark.parametrize("name,seed,core_id", EQUALITY_KEYS)
     def test_hit_equals_uncached_walk(self, cold_memo, name, seed, core_id):
         profile = PROFILES[name]
-        expected = _state(_fresh_walk(profile, seed, core_id, MEMO_OPS))
+        expected = _state(_next_op_walk(profile, seed, core_id, MEMO_OPS))
+        fresh = _fresh_walk(profile, seed, core_id, MEMO_OPS)
         miss = _via_memo(profile, seed, core_id, MEMO_OPS)
         hit = _via_memo(profile, seed, core_id, MEMO_OPS)
         assert cold_memo.cache_info().hits == 1
+        assert _state(fresh) == expected
         assert _state(miss) == expected
         assert _state(hit) == expected
         assert hit.stat_lookups == hit.stat_mispredicts == 0
@@ -114,6 +129,19 @@ class TestPretrainMemo:
         _via_memo(profile, 0, 0, ops)
         assert _state(_via_memo(profile, 0, 0, ops)) == expected
         assert cold_memo.cache_info().hits == 1
+
+    def test_cold_pretraining_builds_no_ops(self, cold_memo, monkeypatch):
+        calls = []
+        next_op = SyntheticTrace.next_op
+
+        def counted(trace):
+            calls.append(trace)
+            return next_op(trace)
+
+        monkeypatch.setattr(SyntheticTrace, "next_op", counted)
+        _via_memo(PARSEC_PROFILES["canneal"], 0, 3, MEMO_OPS)
+        assert cold_memo.cache_info().misses == 1
+        assert calls == []
 
     def test_training_a_copy_never_reaches_the_memo(self, cold_memo):
         profile = SPEC_PROFILES["sjeng"]
